@@ -73,10 +73,11 @@ class Allocator(ABC):
         aligned allotment array.  An implementation must produce exactly the
         allotments (and evolve exactly the internal state, e.g. rotation
         counters) that ``allocate({ids[i]: requests[i], ...}, total)`` would —
-        the simulator mixes both entry points across quanta and the batched
-        path's bit-for-bit artifact guarantee depends on them agreeing.  The
-        base implementation returns ``None``: no array path, the caller falls
-        back to the mapping interface.
+        the simulator's reference loop calls :meth:`allocate`, its kernel
+        loop calls this, and the bit-for-bit artifact guarantee between them
+        depends on the two agreeing.  The base implementation returns
+        ``None``: no array path, so the simulator runs its reference loop.
+        An override must always return the allotment array.
         """
         return None
 
@@ -96,9 +97,8 @@ class Allocator(ABC):
         ``(ids, requests, total)``.  The return value is ``k`` in
         ``[0, limit]`` such that the next ``k`` calls of ``allocate_batch``
         with the same arguments would return ``grants`` again.  Probing must
-        be side-effect free so that composite allocators (and the sharded
-        executor) can probe several sub-allocations, take the minimum, and
-        only then commit via :meth:`fixed_point_advance` — probing twice, or
+        be side-effect free so that composite allocators can probe several
+        sub-allocations, take the minimum, and only then commit via :meth:`fixed_point_advance` — probing twice, or
         probing further than the caller ultimately advances, must be
         harmless.  Returning 0 always is correct; the base implementation
         knows nothing about the policy's state and does exactly that.

@@ -1,21 +1,22 @@
-"""Hierarchical sharded allocation — Cao, Sun, Qian & Wu (ICPP 2014).
+"""Hierarchical group allocation — Cao, Sun, Qian & Wu (ICPP 2014).
 
 DEQ is centralized: one waterfall over every active job per quantum.  The
 hierarchical fix partitions the ``P`` processors into ``G`` fixed-budget
 groups, runs the ordinary equi-partitioning waterfall *per group* over the
 jobs assigned to it, and periodically rebalances by migrating whole jobs
 from overloaded groups to underloaded ones.  Group-local allocation is what
-makes the machine-wide quantum shardable: each group's waterfall reads and
-writes only group-local state, so the sharded executor
-(:mod:`repro.sim.sharded`) can advance groups in separate worker processes
-between rebalancing barriers and still reproduce this allocator's decisions
+splits the machine-wide quantum into group windows: each group's waterfall
+reads and writes only group-local state, so the windowed kernel loop
+(:mod:`repro.sim.sharded`) advances each group on its own between
+rebalancing barriers and still reproduces this allocator's decisions
 bit-for-bit.
 
 Everything here is deterministic by construction: group membership is a
 pure function of the admission order and the rebalancing history, every
 scan runs in sorted job-id order, and ties break toward the lowest group
 index / lowest job id.  The same simulation therefore produces identical
-traces whether it runs flat, sharded over 2 workers, or sharded over 8.
+traces on the per-job reference loop (which calls :meth:`allocate`) and on
+the windowed kernel loop.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class HierarchicalAllocator(Allocator):
     rebalance_interval:
         Rebalancing runs every this-many quanta (before the allocation of
         the boundary quantum).  Between boundaries membership is sticky,
-        which is exactly what lets the sharded executor run a whole window
-        of quanta per group without coordinating.
+        which is exactly what lets the windowed kernel loop run a whole
+        window of quanta per group without coordinating.
     imbalance_threshold:
         Jobs migrate while the desire/budget load ratio of the most loaded
         group exceeds the least loaded group's by more than this.
@@ -209,10 +210,10 @@ class HierarchicalAllocator(Allocator):
             self._rebalance(ids, requests)
 
     # ------------------------------------------------------------------
-    # sharded-executor protocol: the executor replays exactly the per-call
-    # front half (begin_window) and counter bookkeeping (advance_window)
-    # the flat path's allocate_batch calls would perform, while the group
-    # waterfalls themselves run inside the per-group workers.
+    # window protocol: the windowed kernel loop replays exactly the per-call
+    # front half (begin_window) and counter bookkeeping (advance_window) the
+    # per-quantum allocate_batch calls would perform, while the group
+    # waterfalls themselves run inside the per-group windows.
 
     def begin_window(
         self, ids: np.ndarray, requests: np.ndarray, total: int
@@ -224,22 +225,14 @@ class HierarchicalAllocator(Allocator):
         return {int(j): self._members[int(j)] for j in ids}
 
     def advance_window(self, quanta: int) -> None:
-        """Account ``quanta`` machine quanta executed inside a sharded
-        window (the flat path's per-quantum calls advance the same
-        counter, so rebalancing boundaries land on identical quanta)."""
+        """Account ``quanta`` machine quanta executed inside a group
+        window (per-quantum allocate_batch calls advance the same counter,
+        so rebalancing boundaries land on identical quanta)."""
         self._quantum += int(quanta)
 
     def group_allocator(self, group: int) -> DynamicEquiPartitioning:
-        """The group's inner allocator (handed to its window worker)."""
+        """The group's inner allocator (what its window allocates with)."""
         return self._groups[group]
-
-    def set_group_allocator(
-        self, group: int, allocator: DynamicEquiPartitioning
-    ) -> None:
-        """Install a worker-evolved inner allocator after a window gather
-        (in-process dispatch hands back the same object; pool dispatch a
-        pickled twin whose state advanced identically)."""
-        self._groups[group] = allocator
 
     # ------------------------------------------------------------------
     # allocation
@@ -271,75 +264,6 @@ class HierarchicalAllocator(Allocator):
         reqs = np.array([requests[int(j)] for j in ids], dtype=np.int64)
         grants = self.allocate_batch(ids, reqs, total)
         return {int(j): int(a) for j, a in zip(ids, grants)}
-
-    # ------------------------------------------------------------------
-    # superstep certification: probe every group, commit the minimum
-
-    def fixed_point_probe(
-        self,
-        ids: np.ndarray,
-        requests: np.ndarray,
-        grants: np.ndarray,
-        total: int,
-        limit: int,
-    ) -> int:
-        """A hierarchical allocation repeats while every group's inner
-        allocation repeats — but never across a rebalancing boundary: the
-        boundary quantum re-derives membership from the live desires (even
-        held requests can migrate, e.g. the first rebalance after a burst
-        of count-balanced but desire-imbalanced admissions), so the span
-        truncates just before it.  The sharded executor's windows are
-        capped by :meth:`quanta_to_rebalance` for the same reason."""
-        if limit <= 0 or self._total is None:
-            return 0
-        offset = self._quantum % self.rebalance_interval
-        if offset == 0:
-            # The very next allocation call runs the boundary rebalance.
-            return 0
-        span = min(limit, self.rebalance_interval - offset)
-        groups = np.fromiter(
-            (self._members[int(j)] for j in ids), dtype=np.int64, count=ids.size
-        )
-        for g, inner in enumerate(self._groups):
-            positions = np.flatnonzero(groups == g)
-            if not positions.size:
-                continue
-            span = min(
-                span,
-                inner.fixed_point_probe(
-                    ids[positions],
-                    requests[positions],
-                    grants[positions],
-                    self._budgets[g],
-                    span,
-                ),
-            )
-            if span <= 0:
-                return 0
-        return span
-
-    def fixed_point_advance(
-        self,
-        ids: np.ndarray,
-        requests: np.ndarray,
-        grants: np.ndarray,
-        total: int,
-        span: int,
-    ) -> None:
-        groups = np.fromiter(
-            (self._members[int(j)] for j in ids), dtype=np.int64, count=ids.size
-        )
-        for g, inner in enumerate(self._groups):
-            positions = np.flatnonzero(groups == g)
-            if positions.size:
-                inner.fixed_point_advance(
-                    ids[positions],
-                    requests[positions],
-                    grants[positions],
-                    self._budgets[g],
-                    span,
-                )
-        self._quantum += span
 
     def __repr__(self) -> str:
         return (

@@ -195,9 +195,9 @@ def _multi_superstep_off(scale: str) -> int:
 
 
 def _run_hier(scale: str, batch: BatchChoice) -> int:
-    """Multiprogrammed loop under the hierarchical allocator (flat loop,
-    no sharding): gates the grouped waterfall + rebalancing cost against
-    the centralized DEQ scenarios on the identical saturated job sets."""
+    """Multiprogrammed loop under the hierarchical allocator: gates the
+    grouped waterfall + rebalancing cost against the centralized DEQ
+    scenarios on the identical saturated job sets."""
     from ..allocators.hierarchical import HierarchicalAllocator
 
     total = 0
@@ -226,8 +226,8 @@ def _multi_hier_serial(scale: str) -> int:
 
 
 #: The giant-scale scenario per bench scale, materialized once (pure
-#: function of the scale).  Default is the headline configuration from the
-#: sharding work: 4096 jobs on P=16385 across 32 allocation groups.
+#: function of the scale).  Default is the headline configuration: 4096
+#: jobs on P=16385 across 32 allocation groups.
 _GIANT_CACHE: dict[str, "GiantScenario"] = {}
 
 
@@ -242,31 +242,18 @@ def _giant(scale: str) -> "GiantScenario":
     return _GIANT_CACHE[scale]
 
 
-def _run_giant(scale: str, shards: int | None) -> int:
-    """Drive the giant-scale workload flat (``shards=None``) or through the
-    windowed sharded executor; units are job-quanta covered (byte-identical
-    either way — the recorded seconds are the sharding speedup evidence)."""
+def _multi_giant(scale: str) -> int:
+    """Giant-scale workload through the windowed kernel loop (per-group
+    windows and supersteps); units are job-quanta covered, counted from the
+    trace columns without building a single record."""
     sc = _giant(scale)
     result = simulate_job_set(
         sc.specs,
         sc.build_allocator(),
         sc.processors,
         quantum_length=sc.quantum_length,
-        shards=shards,
     )
-    return sum(len(t.records) for t in result.traces.values())
-
-
-def _multi_giant_flat(scale: str) -> int:
-    """Giant-scale workload on the flat centralized loop (the denominator
-    of the sharding speedup recorded in the committed baselines)."""
-    return _run_giant(scale, None)
-
-
-def _multi_giant_sharded(scale: str) -> int:
-    """Giant-scale workload through 4 shard workers (window barriers,
-    per-group supersteps, shared worker pool)."""
-    return _run_giant(scale, 4)
+    return sum(len(t) for t in result.traces.values())
 
 
 def _fig6_full(scale: str) -> int:
@@ -387,14 +374,9 @@ SCENARIOS: tuple[Scenario, ...] = (
         _multi_hier_serial,
     ),
     Scenario(
-        "multi-giant-flat",
-        "giant-scale sharding workload, flat centralized loop",
-        _multi_giant_flat,
-    ),
-    Scenario(
-        "multi-giant-sharded",
-        "giant-scale sharding workload, 4 shard workers",
-        _multi_giant_sharded,
+        "multi-giant",
+        "giant-scale hierarchical workload, windowed kernel loop",
+        _multi_giant,
     ),
     Scenario(
         "fig6-full",

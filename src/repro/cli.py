@@ -98,23 +98,6 @@ def _positive_int(value: str) -> int:
     return count
 
 
-def _shard_spec(value: str) -> int | str:
-    """``--shards`` validator: ``auto`` or an integer >= 1 (1 = flat loop)."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard count must be an integer or 'auto', got {value!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"shard count must be >= 1 (1 means the flat loop), got {count}"
-        )
-    return count
-
-
 def _retry_count(value: str) -> int:
     """``--retries`` validator: an integer >= 0 (0 = fail fast)."""
     try:
@@ -270,7 +253,6 @@ def _cmd_fig6(args: argparse.Namespace) -> str:
         retries=args.retries,
         task_timeout=args.task_timeout,
         group_size=args.group_size,
-        shards=args.shards,
     )
     bins = exp.bin_by_load(result, num_bins=args.bins)
     if args.csv:
@@ -330,14 +312,12 @@ def _cmd_giant(args: argparse.Namespace) -> str:
         scenario.build_allocator(),
         scenario.processors,
         quantum_length=scenario.quantum_length,
-        shards=args.shards,
     )
     elapsed = time.perf_counter() - t0
     rows = artifact_rows(result)
     lines = [
         f"giant scenario: {len(scenario.specs)} jobs on P={scenario.processors} "
         f"({args.groups} groups of {scenario.group_size})",
-        f"shards={args.shards if args.shards is not None else 1}: "
         f"{result.quanta_elapsed} quanta in {elapsed:.3f}s "
         f"(makespan {result.makespan:.0f})",
     ]
@@ -802,23 +782,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every set under hierarchical allocation with groups of "
         "this many processors (default: centralized DEQ)",
     )
-    p.add_argument(
-        "--shards",
-        type=_shard_spec,
-        default=None,
-        metavar="N",
-        help="dispatch each set's quantum loop over N shard workers "
-        "('auto' = all cores); figures are byte-identical at any value",
-    )
     p.add_argument("--plot", action="store_true", help="draw ASCII charts")
     p.add_argument("--csv", default=None, help="write per-set rows to CSV")
     p.set_defaults(func=_cmd_fig6)
 
     p = sub.add_parser(
         "giant",
-        help="giant-scale hierarchical sharding scenario (thousands of "
+        help="giant-scale hierarchical allocation scenario (thousands of "
         "jobs, P in the tens of thousands); the CSV artifact is "
-        "byte-identical at any --shards value",
+        "byte-identical under REPRO_SUPERSTEP=off",
     )
     p.add_argument(
         "--groups", type=_positive_int, default=32, help="allocation groups"
@@ -831,13 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=800,
         help="quanta a stable job runs (sets the horizon)",
-    )
-    p.add_argument(
-        "--shards",
-        type=_shard_spec,
-        default=None,
-        metavar="N",
-        help="shard workers ('auto' = all cores; default: flat loop)",
     )
     p.add_argument("--csv", default=None, help="write per-job rows to CSV")
     p.set_defaults(func=_cmd_giant)
@@ -1066,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-traces",
         help="replay every committed golden fixture on all execution paths "
-        "(serial/batched/superstep/sharded) and fail with the first "
+        "(serial/batched/superstep) and fail with the first "
         "diverging quantum and a field-level diff",
     )
     p.add_argument(

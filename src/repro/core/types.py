@@ -31,12 +31,19 @@ if TYPE_CHECKING:  # annotation-only: keep numpy off this module's import path
     from .columnar import TraceColumns
 
 __all__ = [
+    "MAX_REQUEST",
     "QuantumRecord",
     "JobTrace",
     "integer_request",
     "quantum_records_from_columns",
     "transition_factor_of_series",
 ]
+
+
+#: Largest real-valued processor request: 2**52.  Every integer up to it —
+#: and ``MAX_REQUEST + 1`` — is exact in float64, so the cap is exact on the
+#: scalar and the array path alike, and its ceiling fits an int64.
+MAX_REQUEST = float(2**52)
 
 
 def integer_request(d: float) -> int:
@@ -49,8 +56,12 @@ def integer_request(d: float) -> int:
     (a job must always be able to make progress, cf. Section 5.1's fairness
     assumption).  A tiny tolerance absorbs float error so that e.g. a
     converged ``d = 5.000000000001`` still requests 5.
+
+    The request domain is ``0 <= d <= MAX_REQUEST``; anything else (NaN,
+    negative, infinite or larger) raises the same :class:`ValueError` as
+    the kernel's vectorized form.
     """
-    if d != d or d < 0:  # NaN or negative
+    if not 0 <= d <= MAX_REQUEST:  # NaN fails every comparison
         raise ValueError(f"invalid processor request {d!r}")
     return max(1, math.ceil(d - 1e-9))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Literal
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -107,14 +107,11 @@ def _run_set(
     processors: int,
     quantum_length: int,
     group_size: int | None = None,
-    shards: "int | Literal['auto'] | None" = None,
 ) -> tuple[float, float]:
     """(makespan, mean response time) of one batched job set under a policy.
 
     ``group_size`` switches the machine from centralized DEQ to hierarchical
-    sharded allocation; ``shards`` dispatches the quantum loop over worker
-    processes.  Either way the traces — and so these two numbers — are
-    byte-identical to the defaults.
+    allocation (a policy change: the numbers move, deterministically).
     """
     specs = [JobSpec(job=j, feedback=policy) for j in sample.jobs]
     allocator: DynamicEquiPartitioning | HierarchicalAllocator
@@ -127,7 +124,6 @@ def _run_set(
         allocator,
         processors,
         quantum_length=quantum_length,
-        shards=shards,
     )
     return float(result.makespan), float(result.mean_response_time)
 
@@ -146,7 +142,6 @@ class _Fig6Task:
     factor_range: tuple[int, int]
     seed: int
     group_size: int | None = None
-    shards: "int | Literal['auto'] | None" = None
 
 
 def _fig6_set_point(task: _Fig6Task) -> Fig6Point:
@@ -177,7 +172,6 @@ def _fig6_set_point(task: _Fig6Task) -> Fig6Point:
         task.processors,
         task.quantum_length,
         group_size=task.group_size,
-        shards=task.shards,
     )
     m_ag, r_ag = _run_set(
         sample,
@@ -185,7 +179,6 @@ def _fig6_set_point(task: _Fig6Task) -> Fig6Point:
         task.processors,
         task.quantum_length,
         group_size=task.group_size,
-        shards=task.shards,
     )
     return Fig6Point(
         load=sample.load,
@@ -223,7 +216,6 @@ def run_fig6(
     retries: int | None = None,
     task_timeout: float | None = None,
     group_size: int | None = None,
-    shards: "int | Literal['auto'] | None" = None,
 ) -> Fig6Result:
     """Run the Figure 6 sweep: ``num_sets`` batched job sets with target
     loads drawn uniformly from ``load_range``.
@@ -234,11 +226,8 @@ def run_fig6(
     checkpoints each completed set so an interrupted sweep resumes where it
     stopped; ``retries``/``task_timeout`` bound per-unit failures.
     ``group_size`` runs every set under hierarchical allocation instead of
-    centralized DEQ, and ``shards`` dispatches each set's quantum loop over
-    that many shard workers — both leave every figure byte-identical to the
-    equivalent unsharded run (sharding is an execution strategy, not a
-    scheduling policy; hierarchical allocation is a policy and changes the
-    numbers, deterministically).
+    centralized DEQ (a scheduling policy, so it changes the numbers,
+    deterministically).
     """
     if num_sets < 1:
         raise ValueError("need at least one job set")
@@ -246,8 +235,6 @@ def run_fig6(
         raise ValueError("invalid load range")
     if group_size is not None and group_size < 1:
         raise ValueError("group size must be >= 1")
-    if shards is not None and shards != "auto" and int(shards) < 1:
-        raise ValueError("shard count must be >= 1")
     tasks = [
         _Fig6Task(
             index=i,
@@ -260,7 +247,6 @@ def run_fig6(
             factor_range=factor_range,
             seed=seed,
             group_size=group_size,
-            shards=shards,
         )
         for i in range(num_sets)
     ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from ..io.traces import GoldenBundle
-from ..sim.replay import replay_path
+from ..sim.replay import EXECUTION_PATHS, replay_path
 from .diff import TraceDivergence, first_divergence
 from .record import record_bundle
 from .spec import ScenarioSpec
@@ -53,22 +53,14 @@ Predicate = Callable[[ScenarioSpec], TraceDivergence | None]
 
 
 def cross_path_divergence(spec: ScenarioSpec) -> TraceDivergence | None:
-    """First divergence of the batched/superstep/sharded paths from serial.
+    """First divergence of the batched/superstep paths from serial.
 
     Self-contained (no golden needed), so it can judge arbitrary job
     subsets.  Paths are checked in order and the earliest divergence of
-    the first disagreeing path is returned.  The sharded path joins the
-    comparison only when every job in the candidate is batchable (its
-    executor refuses non-batchable jobs rather than falling back).
+    the first disagreeing path is returned.
     """
-    from ..sim.multi_batched import segment_profile
-
-    paths = ["serial", "batched", "superstep"]
-    probe, _ = spec.build()
-    if all(segment_profile(s, strict=False) is not None for s in probe):
-        paths.append("sharded")
     reference: Mapping[int, Any] | None = None
-    for path in paths:
+    for path in EXECUTION_PATHS:
         specs, allocator = spec.build()
         result = replay_path(
             specs,

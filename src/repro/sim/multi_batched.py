@@ -23,9 +23,9 @@ execution is fully described by a ``(width, levels)`` segment profile:
   including the permuted-chain structures PR 5 lifted into eligibility).
 
 Everything else (reference-engine dags, executor factories such as work
-stealing, strict-mode ``engine="auto"`` dags) falls back per job to the
-existing executors, interleaved with the batched group inside the same
-quantum — see :func:`segment_profile`.
+stealing, strict-mode ``engine="auto"`` dags) has no profile, and a job set
+containing one runs on the per-job reference loop instead — see
+:func:`segment_profile`.
 
 Why the vectorization is exact
 ------------------------------
@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.feedback import FeedbackPolicy
 from ..core.overhead import ReallocationOverhead
-from ..core.types import JobTrace
+from ..core.types import MAX_REQUEST, JobTrace
 from ..dag.graph import Dag
 from ..engine.batched import supports_batched
 from ..engine.phased import PhasedJob
@@ -75,9 +75,9 @@ def segment_profile(
     returned precisely when the executor the serial path would build is a
     closed-form engine whose results the kernel reproduces bit-for-bit.  A
     non-level-major dag with ``engine="batched"`` also returns ``None`` — the
-    fallback path's ``make_executor`` then raises the canonical
-    :class:`~repro.engine.batched.UnsupportedDagStructure` at admission,
-    matching the serial loop's behaviour.
+    job set then runs on the reference loop, whose ``make_executor`` raises
+    the canonical :class:`~repro.engine.batched.UnsupportedDagStructure` at
+    admission.
     """
     job = spec.job
     if isinstance(job, PhasedJob):
@@ -114,7 +114,7 @@ class _Slot:
 class SlotState:
     """A slot's complete mid-run state, detached from its kernel.
 
-    The sharded executor migrates jobs between per-group kernels at
+    The windowed kernel loop migrates jobs between per-group kernels at
     rebalancing barriers by exporting a :class:`SlotState` from one kernel
     and importing it into another; every field a fresh admission would
     initialize is carried verbatim, so the migrated job's subsequent quanta
@@ -404,26 +404,6 @@ class MultiBatchKernel:
         arena.next_q[row] = state.next_q
         self._dirty = True
 
-    # -- pickling (sharded worker round trips) --------------------------
-    # ``_policy_counts`` is keyed on object identity, which does not survive
-    # a pickle; rebuild it from the slots on the other side.
-
-    def __getstate__(self) -> dict[str, object]:
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "_policy_counts"
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        counts: dict[int, int] = {}
-        for slot in self.slots:
-            pid = id(slot.policy)
-            counts[pid] = counts.get(pid, 0) + 1
-        self._policy_counts = counts
-
     def _repack(self) -> None:
         """Rebuild the sorted-id allocation-order cache (segment tables no
         longer repack — the arena maintains them incrementally)."""
@@ -451,9 +431,9 @@ class MultiBatchKernel:
 
     def integer_requests(self) -> np.ndarray:
         """Vectorized :func:`repro.core.types.integer_request` over all slots
-        (same validation, same ceiling-with-tolerance arithmetic)."""
+        (same domain, same error, same ceiling-with-tolerance arithmetic)."""
         d = self.request
-        ok = d >= 0  # NaN fails the comparison, so one mask catches both
+        ok = (d >= 0) & (d <= MAX_REQUEST)  # NaN fails both comparisons
         if not ok.all():
             offender = float(d[int(np.flatnonzero(~ok)[0])])
             raise ValueError(f"invalid processor request {offender!r}")

@@ -1,159 +1,312 @@
-"""Sharded execution of one multiprogrammed simulation.
+"""Group windows: the body of the multiprogrammed kernel loop.
 
-:func:`repro.sim.multi.simulate_job_set` advances the whole machine one
-quantum at a time: one allocation over every active job, one kernel step,
-one feedback pass.  Under a :class:`~repro.allocators.hierarchical.
-HierarchicalAllocator` that loop is needlessly synchronous — each group's
-waterfall reads and writes only group-local state, and membership can only
-change at an admission boundary or a rebalancing boundary.  This module
-exploits that: between barriers, every group advances a whole *window* of
-quanta independently, one supervised worker dispatch per group
-(:func:`repro.runtime.run_supervised` supplies the timeouts, bounded
-retries, and fault injection the experiment fan-out already uses), and the
-coordinator gathers the evolved group states, merges the emitted columnar
-quanta, and runs the membership/rebalancing step before the next window.
+:func:`repro.sim.multi.simulate_job_set` runs every batched job set as a
+sequence of *windows*.  Between two barriers — an admission boundary or a
+:class:`~repro.allocators.hierarchical.HierarchicalAllocator` rebalancing
+boundary — group membership cannot change, and each group's allocation reads
+and writes only its own state (Cao, Sun, Qian & Wu, ICPP 2014).  So each
+group advances through the whole window on its own:
+:func:`run_group_window` allocates, executes, appends, feeds back, removes
+finished jobs and, when nothing changed, fast-forwards a superstep — the
+six steps of one quantum, restricted to the group.  A flat allocator such as
+DEQ is one group spanning the machine.
 
-Why the results are byte-identical to the flat loop
----------------------------------------------------
-Every operation a window worker performs is one the flat loop performs on
-the same values in the same order, restricted to the group:
-
-- allocation: the flat path's ``HierarchicalAllocator.allocate_batch``
-  gathers each group's members in sorted-id order and runs the group's
-  inner waterfall against its fixed budget — exactly the call the worker
-  makes directly;
+Why windows are byte-identical to the per-job reference loop
+------------------------------------------------------------
+- allocation: a hierarchical allocation gathers each group's members in
+  sorted-id order and runs the group's inner waterfall against its fixed
+  budget — exactly the call a window makes directly;
 - execution and feedback: the kernel's chunk math and the policies' batch
   recurrences are elementwise per slot, so a group-sized call returns the
   same bits as the group's rows of a machine-wide call;
-- supersteps: a worker fast-forwards its group through quanta whose
+- supersteps: a window fast-forwards its group through quanta whose
   group-local allocation is a certified fixed point
-  (:meth:`~repro.allocators.base.Allocator.fixed_point_probe`), advancing
-  the inner allocator's state exactly as the skipped per-quantum calls
-  would.  The flat loop, needing *every* group at a fixed point at once,
-  executes those quanta one by one — producing the identical records the
-  superstep emits as one repeat-group.  This is also why sharded execution
-  wins even on one core: one churning group no longer pins the stable
-  groups to per-quantum execution.
+  (:meth:`~repro.allocators.base.Allocator.allocation_fixed_point`),
+  advancing the inner allocator's state exactly as the skipped calls would,
+  and emitting the identical records as one repeat-group.
 
-Membership changes only at barriers, where the coordinator runs the same
-``begin_window`` front half (sync + rebalance) the flat path's per-quantum
-calls would run, and migrates whole slots between group kernels
-(:meth:`~repro.sim.multi_batched.MultiBatchKernel.export_slots`).  Worker
-count is therefore invisible: groups are dispatched and gathered in group
-order, ``run_supervised`` preserves it, and retried units re-run pure
-inputs (a pool retry re-pickles the coordinator's pristine task; a serial
-fault injects before the unit body runs).
+Membership changes only at barriers, where the caller runs the hierarchical
+allocator's ``begin_window`` front half (sync + rebalance) and migrates
+whole slots between group kernels
+(:meth:`~repro.sim.multi_batched.MultiBatchKernel.export_slots`).  Every
+window appends straight into the run's one
+:class:`~repro.sim.superstep.QuantumLog`: a job lives in exactly one group
+per window and windows run in time order, so each job's rows stay
+chronological for :meth:`~repro.sim.superstep.QuantumLog.build_traces`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..allocators.base import Allocator, validate_allocation_arrays
-from ..allocators.hierarchical import HierarchicalAllocator
-from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
-from ..core.types import JobTrace, integer_request
-from ..runtime.checkpoint import unit_key
-from ..runtime.supervisor import WorkerPool, resolve_workers, run_supervised
-from .jobs import JobSpec
-from .multi_batched import MultiBatchKernel, segment_profile
-from .superstep import QuantumLog
+from ..core.overhead import ReallocationOverhead
+from ..core.types import JobTrace, QuantumRecord
+from .multi_batched import MultiBatchKernel, QuantumBatch
+from .superstep import QuantumGroup, QuantumLog
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .multi import MultiJobResult
-
-__all__ = [
-    "GroupWindowTask",
-    "GroupWindowResult",
-    "run_group_window",
-    "simulate_job_set_sharded",
-]
+__all__ = ["run_group_window"]
 
 
-@dataclass(slots=True)
-class GroupWindowTask:
-    """One group's window of quanta: the unit of sharded dispatch."""
-
-    group: int
-    kernel: MultiBatchKernel
-    allocator: Allocator
-    budget: int
-    """The group's processor budget (what its waterfall divides)."""
-    processors: int
-    """Machine-wide ``P`` (caps the records' ``available`` field, exactly
-    as the flat loop computes it)."""
-    quantum_length: int
-    start: int
-    """Machine time at the window's first quantum boundary."""
-    quanta: int
-    """Window length: how many quanta to advance before the barrier."""
-    start_quantum: int
-    """Machine quanta executed before this window (orders finished traces
-    across groups)."""
-    superstep: bool
-    overhead: ReallocationOverhead
-
-
-@dataclass(slots=True)
-class GroupWindowResult:
-    """The evolved group state and everything the window emitted."""
-
-    group: int
-    kernel: MultiBatchKernel
-    allocator: Allocator
-    log: QuantumLog
-    finished: list[tuple[int, int, int, JobTrace]]
-    """``(machine quantum, admission seq, job id, trace)`` per finished
-    job — sorting the union across groups reproduces the flat loop's
-    finished-trace insertion order."""
-    executed: int
-    """Quanta actually executed (< ``quanta`` only if the group emptied)."""
+def _scalar_feedback(
+    kernel: MultiBatchKernel,
+    positions: Sequence[int],
+    group: QuantumGroup,
+    length: int,
+    start_step: int,
+) -> None:
+    """Per-record feedback for kernel slots whose policy has no vectorized
+    form — rebuilds each slot's record from the quantum's emitted columns
+    (identical values, so an identical next request)."""
+    for pos in positions:
+        slot = kernel.slots[pos]
+        record = QuantumRecord(
+            index=int(group.index0[pos]),
+            request=float(group.request[pos]),
+            request_int=int(group.request_int[pos]),
+            available=int(group.available[pos]),
+            allotment=int(group.allotment[pos]),
+            work=int(group.work[pos]),
+            span=float(group.span[pos]),
+            steps=int(group.steps[pos]),
+            quantum_length=length,
+            start_step=start_step,
+        )
+        kernel.request[pos] = slot.policy.next_request(record)
 
 
-def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
-    """Advance one group through its window — the flat loop's per-quantum
-    body, restricted to the group (see the module docstring for why that
-    restriction is bitwise-invisible).
-
-    Mutates the task's kernel/allocator in place and hands them back: under
-    pool dispatch they are this worker's pickled copies, and under serial
-    dispatch fault injection fires before this body runs, so a retried unit
-    always starts from pristine state.
+def _batch_feedback(
+    kernel: MultiBatchKernel,
+    group: QuantumGroup,
+    req_int: np.ndarray,
+    alloc_arr: np.ndarray,
+    batch_out: QuantumBatch,
+    finished_pos: list[int],
+    length: int,
+    start: int,
+) -> bool:
+    """Post-quantum feedback over the kernel's slots, vectorized per policy
+    instance (experiment job sets share one policy object across jobs, so
+    the common case is one whole-array batch call); returns whether any
+    slot fell back to scalar feedback.  Requests computed for slots that
+    just finished are discarded with the slot, exactly like the reference
+    loop, which never updates a finished job's request.
     """
-    # Local import: repro.sim.multi imports this module lazily, so the
-    # reverse edge must also be deferred to keep import order free.
-    from .multi import _attempt_superstep, _batch_feedback
+    nk = len(kernel)
+    scalar_fb = False
+    uniform = kernel.uniform_policy
+    if uniform is not None:
+        nxt = uniform.next_request_batch(
+            request=kernel.request,
+            request_int=req_int,
+            allotment=alloc_arr,
+            work=batch_out.work,
+            span=batch_out.span,
+            steps=batch_out.steps,
+        )
+        if nxt is None:
+            scalar_fb = True
+            fin_set = set(finished_pos)
+            _scalar_feedback(
+                kernel,
+                [pos for pos in range(nk) if pos not in fin_set],
+                group,
+                length,
+                start,
+            )
+        else:
+            kernel.request = nxt
+    else:
+        groups: dict[int, list[int]] = {}
+        fin_set = set(finished_pos)
+        for pos in range(nk):
+            if pos not in fin_set:
+                groups.setdefault(id(kernel.slots[pos].policy), []).append(pos)
+        for positions in groups.values():
+            policy = kernel.slots[positions[0]].policy
+            sub = np.asarray(positions, dtype=np.int64)
+            nxt = policy.next_request_batch(
+                request=kernel.request[sub],
+                request_int=req_int[sub],
+                allotment=alloc_arr[sub],
+                work=batch_out.work[sub],
+                span=batch_out.span[sub],
+                steps=batch_out.steps[sub],
+            )
+            if nxt is None:
+                scalar_fb = True
+                _scalar_feedback(kernel, positions, group, length, start)
+            else:
+                kernel.request[sub] = nxt
+    return scalar_fb
 
-    kernel = task.kernel
-    allocator = task.allocator
-    L = task.quantum_length
-    log = QuantumLog(L)
+
+def _requests_hold(
+    kernel: MultiBatchKernel,
+    alloc_arr: np.ndarray,
+    req_int: np.ndarray,
+    work: np.ndarray,
+    span: np.ndarray,
+    steps: np.ndarray,
+    quanta: int,
+) -> bool:
+    """Whether every slot's feedback recurrence, fed the predicted repeated
+    record ``quanta`` times, leaves its request bit-identical (see
+    :meth:`~repro.core.feedback.FeedbackPolicy.advance_request_batch`)."""
+    uniform = kernel.uniform_policy
+    if uniform is not None:
+        return (
+            uniform.advance_request_batch(
+                request=kernel.request,
+                request_int=req_int,
+                allotment=alloc_arr,
+                work=work,
+                span=span,
+                steps=steps,
+                quanta=quanta,
+            )
+            is not None
+        )
+    groups: dict[int, list[int]] = {}
+    for pos, slot in enumerate(kernel.slots):
+        groups.setdefault(id(slot.policy), []).append(pos)
+    request = kernel.request
+    for positions in groups.values():
+        policy = kernel.slots[positions[0]].policy
+        sub = np.asarray(positions, dtype=np.int64)
+        nxt = policy.advance_request_batch(
+            request=request[sub],
+            request_int=req_int[sub],
+            allotment=alloc_arr[sub],
+            work=work[sub],
+            span=span[sub],
+            steps=steps[sub],
+            quanta=quanta,
+        )
+        if nxt is None:
+            return False
+    return True
+
+
+def _attempt_superstep(
+    kernel: MultiBatchKernel,
+    log: QuantumLog,
+    allocator: Allocator,
+    group: QuantumGroup,
+    req_int: np.ndarray,
+    avail: np.ndarray,
+    alloc_arr: np.ndarray,
+    budget: int,
+    length: int,
+    start: int,
+    limit: int,
+) -> int:
+    """Fast-forward up to ``limit`` quanta past the one that just executed
+    at ``start``; returns how many were skipped (0 when any fixed-point
+    check fails).
+
+    The checks, in order: the quantum's feedback left every request at its
+    pre-quantum value (else next quantum's allocation inputs differ); every
+    slot's remaining chunk sustains ``K >= 1`` pure quanta under the same
+    allotment (closed form, also bounding ``K``); the feedback recurrences
+    hold the requests fixed over the predicted records; and the allocator
+    certifies (and state-advances through) ``K`` repeats of its grants.
+    ``limit`` keeps the superstep inside the window, which already ends
+    before the next admission.  Everything that passes is exact, so the
+    emitted repeat-group and the fast-forwarded arena state are
+    byte-identical to executing the ``K`` quanta one at a time.
+    """
+    if kernel.request.tobytes() != group.request.tobytes():
+        return 0
+    plan = kernel.superstep_plan(alloc_arr, length)
+    if plan is None:
+        return 0
+    limit = min(limit, int(plan.quanta.min()))
+    if limit < 1:
+        return 0
+    steps_pred = np.full(len(kernel.slots), length, dtype=np.int64)
+    if not _requests_hold(
+        kernel, alloc_arr, req_int, plan.delta, plan.span, steps_pred, limit
+    ):
+        return 0
+    ids_sorted, order = kernel.allocation_order()
+    k = allocator.allocation_fixed_point(
+        ids_sorted, req_int[order], alloc_arr[order], budget, limit
+    )
+    if k < 1:
+        return 0
+    log.append_quantum(
+        start_step=start + length,
+        repeat=k,
+        index0=kernel.next_q,
+        request=group.request,
+        request_int=req_int,
+        available=avail,
+        allotment=alloc_arr,
+        work=plan.delta,
+        span=plan.span,
+        steps=steps_pred,
+    )
+    kernel.apply_superstep(k, plan, alloc_arr, length)
+    return k
+
+
+def run_group_window(
+    kernel: MultiBatchKernel,
+    allocator: Allocator,
+    log: QuantumLog,
+    *,
+    budget: int,
+    processors: int,
+    start: int,
+    quanta: int,
+    superstep: bool,
+    overhead: ReallocationOverhead,
+) -> tuple[int, list[tuple[int, int, int, JobTrace]]]:
+    """Advance one group through a window of up to ``quanta`` quanta starting
+    at machine time ``start``; returns ``(executed, finished)``.
+
+    ``allocator`` divides the group's ``budget`` processors (the whole
+    machine for a flat allocator); ``processors`` is the machine-wide ``P``
+    that caps the records' ``available`` field.  ``executed`` falls short
+    of ``quanta`` only if the group empties.  ``finished`` holds one
+    ``(window quantum, admission seq, job id, trace)`` entry per job that
+    completed — sorting the union over all groups gives the reference
+    loop's finished-trace order.  Mutates ``kernel``, ``allocator`` and
+    ``log`` in place.
+    """
+    L = log.quantum_length
     layout_dirty = True
     finished: list[tuple[int, int, int, JobTrace]] = []
     executed = 0
-    t = task.start
-    while executed < task.quanta and len(kernel) > 0:
+    t = start
+    while executed < quanta and len(kernel) > 0:
         nk = len(kernel)
         req_int = kernel.integer_requests()
         ids_sorted, order = kernel.allocation_order()
         req_sorted = req_int[order]
-        grants = allocator.allocate_batch(ids_sorted, req_sorted, task.budget)
-        if grants is None:  # guarded at simulate entry; defensive here
+        grants = allocator.allocate_batch(ids_sorted, req_sorted, budget)
+        if grants is None:
             raise ValueError(
-                "sharded execution requires an array-native allocator "
-                "(allocate_batch returned None)"
+                f"{type(allocator).__name__}.allocate_batch returned None; "
+                "an override must return the allotment array"
             )
-        validate_allocation_arrays(ids_sorted, req_sorted, grants, task.budget)
+        validate_allocation_arrays(ids_sorted, req_sorted, grants, budget)
         alloc_arr = np.empty(nk, dtype=np.int64)
         alloc_arr[order] = grants
-        batch_out = kernel.execute_quantum(alloc_arr, L, task.overhead)
-        avail = np.where(alloc_arr < req_int, alloc_arr, task.processors)
+        batch_out = kernel.execute_quantum(alloc_arr, L, overhead)
+        # Under a partitioning allocator the processors "available" to a
+        # job are exactly its (possibly trimmed) share when deprived; when
+        # satisfied the machine-wide P upper-bounds availability.
+        avail = np.where(alloc_arr < req_int, alloc_arr, processors)
         if layout_dirty:
             log.set_layout(kernel.jids)
             layout_dirty = False
+        # The group snapshots ``index0``/``request`` before the bump and the
+        # in-place feedback writes below; the other columns are fresh arrays
+        # this iteration never touches again.
         group = log.append_quantum(
             start_step=t,
             repeat=1,
@@ -173,19 +326,12 @@ def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
         )
         for pos in finished_pos:
             slot = kernel.slots[pos]
-            finished.append(
-                (task.start_quantum + executed, slot.seq, slot.jid, slot.trace)
-            )
+            finished.append((executed, slot.seq, slot.jid, slot.trace))
         if finished_pos:
             kernel.remove(finished_pos)
             layout_dirty = True
         skipped = 0
-        if (
-            task.superstep
-            and not scalar_fb
-            and not finished_pos
-            and len(kernel) > 0
-        ):
+        if superstep and not scalar_fb and not finished_pos:
             skipped = _attempt_superstep(
                 kernel,
                 log,
@@ -194,244 +340,11 @@ def run_group_window(task: GroupWindowTask) -> GroupWindowResult:
                 req_int,
                 avail,
                 alloc_arr,
-                task.budget,
+                budget,
                 L,
                 t,
-                next_release=None,  # windows end before the next admission
-                budget=task.quanta - executed - 1,
+                quanta - executed - 1,
             )
         t += (skipped + 1) * L
         executed += skipped + 1
-    return GroupWindowResult(
-        group=task.group,
-        kernel=kernel,
-        allocator=allocator,
-        log=log,
-        finished=finished,
-        executed=executed,
-    )
-
-
-def _has_array_path(allocator: Allocator) -> bool:
-    return type(allocator).allocate_batch is not Allocator.allocate_batch
-
-
-def simulate_job_set_sharded(
-    specs: Sequence[JobSpec],
-    allocator: Allocator,
-    processors: int,
-    *,
-    quantum_length: int = 1000,
-    max_quanta: int = 10_000_000,
-    overhead: ReallocationOverhead = NO_OVERHEAD,
-    strict: bool = False,
-    superstep: Literal["auto", "off"] = "auto",
-    shards: int | Literal["auto"] = "auto",
-    task_timeout: float | None = None,
-    retries: int | None = None,
-) -> "MultiJobResult":
-    """Window-barrier sharded twin of
-    :func:`repro.sim.multi.simulate_job_set` (call that with ``shards=`` set
-    rather than this directly).  Byte-identical traces at any shard count.
-
-    Requirements beyond the flat loop's: every job must be batchable (the
-    per-group windows run on the kernel path only) and the allocator must
-    have an array-native ``allocate_batch``.  A
-    :class:`HierarchicalAllocator` shards over its groups; any other
-    array-native allocator runs as a single group spanning the machine
-    (sharding then buys no parallelism, but the windowed path — and its
-    group-local supersteps — still applies, which is what the golden-trace
-    ``sharded`` replay path exercises on the flat-allocator fixtures).
-    """
-    from .multi import MultiJobResult
-
-    if processors < 1:
-        raise ValueError("need at least one processor")
-    if quantum_length < 1:
-        raise ValueError("quantum length must be >= 1")
-    if not specs:
-        raise ValueError("job set is empty")
-    if not _has_array_path(allocator):
-        raise ValueError(
-            "sharded execution requires an array-native allocator "
-            f"(no allocate_batch override on {type(allocator).__name__})"
-        )
-    workers = resolve_workers(0 if shards == "auto" else int(shards))
-
-    pending: list[tuple[int, int, JobSpec]] = []
-    seen_ids: set[int] = set()
-    profiles: dict[int, tuple[tuple[int, int], ...]] = {}
-    interned: dict[
-        tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]
-    ] = {}
-    for i, spec in enumerate(specs):
-        jid = spec.job_id if spec.job_id is not None else i
-        if jid in seen_ids:
-            raise ValueError(f"duplicate job id {jid}")
-        seen_ids.add(jid)
-        profile = segment_profile(spec, strict=strict)
-        if profile is None:
-            raise ValueError(
-                f"job {jid} is not batchable; sharded execution requires "
-                "counts-determined jobs (run with shards=None to use the "
-                "fallback path)"
-            )
-        # Intern by value: giant job sets repeat a handful of shapes, and
-        # slots sharing one profile tuple let pickle's memo collapse the
-        # per-window worker payload from O(jobs x segments) to O(shapes).
-        profiles[jid] = interned.setdefault(profile, profile)
-        pending.append((spec.release_time, jid, spec))
-    pending.sort(key=lambda item: (item[0], item[1]))
-    released = {jid: rel for rel, jid, _ in pending}
-
-    hier = allocator if isinstance(allocator, HierarchicalAllocator) else None
-    do_superstep = superstep == "auto"
-    L = quantum_length
-    log = QuantumLog(L)
-    done: dict[int, JobTrace] = {}
-    kernels: list[MultiBatchKernel] = []
-    budgets: list[int] = []
-    if hier is None:
-        kernels.append(MultiBatchKernel(strict=strict))
-        budgets.append(processors)
-    t = 0
-    quanta = 0
-    seq = 0
-    cursor = 0
-
-    # One pool outlives every window barrier: per-window forking would
-    # otherwise dominate the dispatch cost on short windows.
-    shared_pool = WorkerPool(workers) if workers > 1 else None
-    try:
-        while cursor < len(pending) or any(len(k) > 0 for k in kernels):
-            if quanta >= max_quanta:
-                raise RuntimeError(f"job set did not finish within {max_quanta} quanta")
-            # Admissions at this boundary (same order the flat loop admits in).
-            arrivals: list[tuple[int, JobSpec, int]] = []  # (jid, spec, seq)
-            while cursor < len(pending) and pending[cursor][0] <= t:
-                _rel, jid, spec = pending[cursor]
-                cursor += 1
-                arrivals.append((jid, spec, seq))
-                seq += 1
-            if not arrivals and all(len(k) == 0 for k in kernels):
-                next_release = pending[cursor][0]
-                t = max(t + L, ((next_release + L - 1) // L) * L)
-                continue
-
-            # Barrier front half: membership (sync + rebalance) over the active
-            # set including this boundary's arrivals, then slot migration and
-            # admission into the per-group kernels.
-            if hier is not None:
-                id_req: list[tuple[int, int]] = []
-                for kernel in kernels:
-                    id_req.extend(zip(kernel.jids, kernel.integer_requests().tolist()))
-                for jid, spec, _s in arrivals:
-                    id_req.append((jid, integer_request(spec.feedback.first_request())))
-                id_req.sort()
-                ids_arr = np.array([j for j, _ in id_req], dtype=np.int64)
-                req_arr = np.array([r for _, r in id_req], dtype=np.int64)
-                membership = hier.begin_window(ids_arr, req_arr, processors)
-                if not kernels:
-                    kernels.extend(
-                        MultiBatchKernel(strict=strict)
-                        for _ in range(hier.group_count)
-                    )
-                    budgets.extend(hier.group_budgets())
-                for g, kernel in enumerate(kernels):
-                    moving = [
-                        pos
-                        for pos, jid in enumerate(kernel.jids)
-                        if membership[jid] != g
-                    ]
-                    if moving:
-                        for state in kernel.export_slots(moving):
-                            kernels[membership[state.jid]].import_slot(state)
-                group_of = membership
-            else:
-                group_of = {jid: 0 for jid, _spec, _s in arrivals}
-            for jid, spec, s in arrivals:
-                kernels[group_of[jid]].admit(
-                    jid=jid,
-                    seq=s,
-                    spec=spec,
-                    trace=JobTrace(
-                        quantum_length=L, release_time=released[jid], job_id=jid
-                    ),
-                    profile=profiles[jid],
-                    request=spec.feedback.first_request(),
-                )
-
-            # Window length: to the next admission boundary, the next
-            # rebalancing boundary, and the quantum ceiling — whichever is
-            # nearest.  Always >= 1.
-            window = max_quanta - quanta
-            if hier is not None:
-                window = min(window, hier.quanta_to_rebalance())
-            if cursor < len(pending):
-                next_boundary = ((pending[cursor][0] + L - 1) // L) * L
-                window = min(window, (next_boundary - t) // L)
-
-            tasks = [
-                GroupWindowTask(
-                    group=g,
-                    kernel=kernel,
-                    allocator=(
-                        hier.group_allocator(g) if hier is not None else allocator
-                    ),
-                    budget=budgets[g],
-                    processors=processors,
-                    quantum_length=L,
-                    start=t,
-                    quanta=window,
-                    start_quantum=quanta,
-                    superstep=do_superstep,
-                    overhead=overhead,
-                )
-                for g, kernel in enumerate(kernels)
-                if len(kernel) > 0
-            ]
-            keys = [
-                unit_key(
-                    "shard-window",
-                    {"group": task.group, "start": task.start, "quanta": task.quanta},
-                )
-                for task in tasks
-            ]
-            outcome = run_supervised(
-                run_group_window,
-                tasks,
-                workers=min(workers, len(tasks)),
-                keys=keys,
-                task_timeout=task_timeout,
-                retries=retries,
-                pool=shared_pool,
-            )
-            executed = 0
-            window_finished: list[tuple[int, int, int, JobTrace]] = []
-            for result in outcome.results:
-                kernels[result.group] = result.kernel
-                if hier is not None:
-                    hier.set_group_allocator(result.group, result.allocator)
-                else:
-                    allocator = result.allocator
-                log.extend(result.log)
-                window_finished.extend(result.finished)
-                executed = max(executed, result.executed)
-            for _q, _s, jid, trace in sorted(window_finished):
-                done[jid] = trace
-            if hier is not None:
-                hier.advance_window(executed)
-            t += executed * L
-            quanta += executed
-
-    finally:
-        if shared_pool is not None:
-            shared_pool.close()
-    log.build_traces(done)
-    return MultiJobResult(
-        traces=done,
-        processors=processors,
-        quantum_length=L,
-        quanta_elapsed=quanta,
-        released=released,
-    )
+    return executed, finished

@@ -346,32 +346,6 @@ class QuantumLog:
         self._groups.append(group)
         return group
 
-    def extend(self, other: "QuantumLog") -> None:
-        """Adopt another log's groups wholesale (the sharded executor's
-        gather step: each worker emits a window of quanta into its own log,
-        and the coordinator merges them in group order).
-
-        The adopted groups keep their layouts, remapped onto this log's
-        epoch list; no re-validation happens — the rows were validated when
-        the worker appended them.  :meth:`build_traces` stays correct as
-        long as every job's rows arrive in chronological order across
-        ``extend`` calls, which the window barrier guarantees: a job lives
-        in exactly one group per window, and windows merge in time order.
-        """
-        if other.quantum_length != self.quantum_length:
-            raise ValueError(
-                "cannot merge quantum logs with different quantum lengths"
-            )
-        base = len(self._layouts)
-        # Copy the adopted layouts at the ownership boundary: the donor log
-        # (a gathered worker result) is discarded after the merge, but this
-        # log must never hold views into another object's buffers.
-        self._layouts.extend(arr.copy() for arr in other._layouts)
-        for grp in other._groups:
-            grp.epoch += base
-            self._groups.append(grp)
-        self._epoch = len(self._layouts) - 1
-
     # ------------------------------------------------------------------
 
     def build_traces(self, traces: Mapping[int, JobTrace]) -> None:
@@ -418,14 +392,21 @@ class QuantumLog:
             for name, parts in value_parts.items():
                 col: np.ndarray = getattr(grp, name)
                 parts.append(col if k == 1 else np.repeat(col, k))
+        # Each column's parts are dropped as soon as it is gathered: parts of
+        # repeat-groups are expanded copies, and holding them all until the
+        # end would add a full copy of the run's rows to the peak.
         jid_all = np.concatenate(jid_parts)
+        del jid_parts
         order = np.argsort(jid_all, kind="stable")
         jid_sorted = jid_all[order]
+        del jid_all
         idx_sorted = np.concatenate(idx_parts)[order]
+        del idx_parts
         start_sorted = np.concatenate(start_parts)[order]
+        del start_parts
         cols_sorted = {
-            name: np.concatenate(parts)[order]
-            for name, parts in value_parts.items()
+            name: np.concatenate(value_parts.pop(name))[order]
+            for name in list(value_parts)
         }
         bounds = np.flatnonzero(np.diff(jid_sorted)) + 1
         starts = np.concatenate(([0], bounds, [jid_sorted.size]))

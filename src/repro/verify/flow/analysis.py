@@ -93,9 +93,6 @@ DEFAULT_ROOT_PATTERNS: tuple[str, ...] = (
     "repro.sim.superstep::*.build_traces",
     "repro.experiments.*::run_*",
     "repro.runtime.supervisor::_invoke_unit",
-    # The sharded executor's per-group window unit: dispatched through
-    # run_supervised, so inside a worker it is a root of its own.
-    "repro.sim.sharded::run_group_window",
 )
 
 

@@ -1,7 +1,7 @@
 """Giant-scale hierarchical workloads: thousands of jobs, P in the tens of
 thousands.
 
-The shape is engineered so sharded execution has something real to win:
+The shape is engineered so windowed execution has something real to win:
 group 0 holds *churners* — jobs alternating between a narrow and a wide
 phase every few hundred levels, so every quantum crosses a phase boundary,
 the batched kernel can never certify a superstep for them, and the group
@@ -9,11 +9,11 @@ executes quantum by quantum.  Every other group holds long single-phase
 *stable* jobs whose A-Control requests reach their bitwise fixed point
 within a few quanta, after which whole windows collapse into supersteps.
 
-Under the flat loop one churning group pins the entire machine to
-per-quantum execution (a machine-wide superstep needs *every* slot at a
-fixed point).  Under sharded execution the stable groups fast-forward
-their windows independently while only group 0 pays the per-quantum cost —
-the core-count-independent speedup the giant bench scenario measures.
+A machine-wide superstep would need *every* slot at a fixed point, so one
+churning group would pin the entire machine to per-quantum execution.  The
+windowed kernel loop supersteps per group instead: the stable groups
+fast-forward their windows independently while only group 0 pays the
+per-quantum cost.
 
 Job ids are assigned so membership is predictable: admission fills groups
 round-robin in sorted-id order (equal budgets, ties to the lowest index),
@@ -68,7 +68,7 @@ class GiantScenario:
             self.group_size,
             rebalance_interval=self.rebalance_interval,
             # Effectively disable migration: the giant scenario gates the
-            # sharded execution machinery, and a churner migrating into a
+            # windowed execution machinery, and a churner migrating into a
             # stable group would change what is being measured from run to
             # run of the *parameterization*, not the code.  Migration
             # correctness is covered by the allocator tests and goldens.
@@ -149,8 +149,8 @@ class GiantRow:
 def artifact_rows(result: "MultiJobResult") -> list[GiantRow]:
     """Deterministic per-job rows of a giant run, sorted by job id.
 
-    This is the byte-comparison surface for the sharding identity check in
-    CI: the same scenario run at any shard count must produce the identical
+    This is the byte-comparison surface for the identity check in CI: the
+    same scenario run with supersteps on and off must produce the identical
     CSV.
     """
     rows: list[GiantRow] = []

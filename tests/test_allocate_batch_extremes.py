@@ -124,10 +124,3 @@ class TestSingleJobGroups:
             rounds.append({int(j): int(rng.integers(1, 20)) for j in members})
         lockstep(lambda: HierarchicalAllocator(group_size=1, rebalance_interval=2), rounds, total=12)
 
-    def test_fixed_point_certifies_full_span_between_boundaries(self):
-        alloc = HierarchicalAllocator(group_size=1, rebalance_interval=100)
-        requests = {0: 5, 1: 3}
-        grants_map = alloc.allocate(requests, 4)
-        ids, reqs = as_arrays(requests)
-        grants = np.array([grants_map[int(j)] for j in ids], dtype=np.int64)
-        assert alloc.fixed_point_probe(ids, reqs, grants, 4, 50) == 50

@@ -1,4 +1,4 @@
-"""Unit and determinism tests for the hierarchical sharded allocator."""
+"""Unit and determinism tests for the hierarchical group allocator."""
 
 from __future__ import annotations
 
@@ -204,26 +204,6 @@ class TestFixedPoint:
         grants = np.array([grants_map[int(j)] for j in ids], dtype=np.int64)
         return ids, reqs, grants, total
 
-    def test_probe_certifies_stable_allocation(self):
-        alloc = HierarchicalAllocator(group_size=8, rebalance_interval=100)
-        requests = {0: 4, 1: 4, 2: 4, 3: 4}
-        ids, reqs, grants, total = self._probe_args(alloc, requests, 16)
-        span = alloc.fixed_point_probe(ids, reqs, grants, total, 10)
-        assert span == 10
-
-    def test_probe_truncates_at_rebalance_boundary(self):
-        alloc = HierarchicalAllocator(group_size=8, rebalance_interval=5)
-        requests = {0: 4, 1: 4, 2: 4, 3: 4}
-        ids, reqs, grants, total = self._probe_args(alloc, requests, 16)
-        # one allocation served: 4 quanta remain before the boundary
-        assert alloc.fixed_point_probe(ids, reqs, grants, total, 100) == 4
-        # land exactly on the boundary: nothing may be skipped
-        for _ in range(4):
-            alloc.allocate(requests, 16)
-        assert alloc.quanta_to_rebalance() == 5
-        assert alloc._quantum % alloc.rebalance_interval == 0
-        assert alloc.fixed_point_probe(ids, reqs, grants, total, 100) == 0
-
     def test_probe_is_side_effect_free(self):
         alloc = HierarchicalAllocator(group_size=8, rebalance_interval=50)
         requests = {0: 9, 1: 9}
@@ -234,26 +214,6 @@ class TestFixedPoint:
         for _ in range(3):
             alloc2.fixed_point_probe(ids2, reqs2, grants2, 16, 7)
         assert alloc2.allocate(requests, 16) == before
-
-    def test_advance_matches_repeated_calls(self):
-        """Probe+advance over a span leaves the same state as serving the
-        span one allocation at a time."""
-        requests = {0: 9, 1: 9, 2: 3, 3: 3}
-        stepped = HierarchicalAllocator(group_size=8, rebalance_interval=50)
-        jumped = HierarchicalAllocator(group_size=8, rebalance_interval=50)
-        ids, reqs = arrays(requests)
-        g0 = stepped.allocate_batch(ids, reqs, 16)
-        g1 = jumped.allocate_batch(ids, reqs, 16)
-        assert (g0 == g1).all()
-        span = jumped.allocation_fixed_point(ids, reqs, g1, 16, 6)
-        assert span == 6
-        for _ in range(span):
-            stepped.allocate_batch(ids, reqs, 16)
-        assert (
-            stepped.allocate_batch(ids, reqs, 16)
-            == jumped.allocate_batch(ids, reqs, 16)
-        ).all()
-        assert stepped._quantum == jumped._quantum
 
     def test_probe_unbound_returns_zero(self):
         alloc = HierarchicalAllocator(group_size=8)
@@ -279,11 +239,3 @@ class TestShardedProtocol:
         alloc.advance_window(7)
         assert alloc.quanta_to_rebalance() == 3
 
-    def test_group_allocator_round_trip(self):
-        alloc = HierarchicalAllocator(group_size=4)
-        alloc.allocate({0: 2, 1: 2}, 8)
-        inner = alloc.group_allocator(0)
-        assert isinstance(inner, DynamicEquiPartitioning)
-        replacement = DynamicEquiPartitioning()
-        alloc.set_group_allocator(0, replacement)
-        assert alloc.group_allocator(0) is replacement

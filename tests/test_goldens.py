@@ -244,22 +244,20 @@ class TestVerifyTraces:
         record_fixtures(tmp_path, [tiny_spec()])
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        assert [o["status"] for o in report.outcomes] == ["pass"] * 4
+        assert [o["status"] for o in report.outcomes] == ["pass"] * 3
         assert [o["path"] for o in report.outcomes] == [
             "serial",
             "batched",
             "superstep",
-            "sharded",
         ]
 
     def test_default_registry_passes_all_paths(self, tmp_path):
         record_fixtures(tmp_path, default_scenarios())
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        # 7 scenarios x 4 paths; the reference-engine dag fixture skips
-        # the sharded path (non-batchable jobs) without failing the run.
-        assert len(report.outcomes) == 28
-        assert report.render().endswith("27 pass, 0 fail, 0 error, 1 skip")
+        # 7 scenarios x 3 paths
+        assert len(report.outcomes) == 21
+        assert report.render().endswith("21 pass, 0 fail, 0 error")
 
     def test_report_is_deterministic(self, tmp_path):
         record_fixtures(tmp_path, [tiny_spec()])
@@ -482,7 +480,7 @@ class TestCli:
         assert main(["verify-traces", "--fixtures", out]) == 0
         assert main(["record-traces", "--out", out, "--check"]) == 0
         text = capsys.readouterr().out
-        assert "27 pass, 0 fail, 0 error, 1 skip" in text
+        assert "21 pass, 0 fail, 0 error" in text
         assert "clean: no findings" in text
 
     def test_verify_exit_code_and_diff_on_mutation(
@@ -510,7 +508,7 @@ class TestCli:
         assert main(["verify-traces", "--fixtures", out, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] == 0
-        assert len(payload["outcomes"]) == 4
+        assert len(payload["outcomes"]) == 3
 
     def test_verify_empty_dir_is_usage_error(self, tmp_path):
         from repro.cli import main
@@ -606,16 +604,17 @@ class TestDagScenarios:
         with pytest.raises(ValueError, match="require schema 2"):
             ScenarioSpec.from_dict(data)
 
-    def test_batchable_dag_fixture_passes_all_four_paths(self, tmp_path):
+    def test_batchable_dag_fixture_passes_all_paths(self, tmp_path):
         spec = dag_scenario(
             "dag-mini", seed=7, num_jobs=3, num_levels=(8, 12), structure="barrier"
         )
         record_fixtures(tmp_path, [spec])
         report = verify_traces(fixture_paths(tmp_path))
         assert report.passed
-        assert [o["status"] for o in report.outcomes] == ["pass"] * 4
+        assert [o["status"] for o in report.outcomes] == ["pass"] * 3
 
-    def test_reference_engine_fixture_skips_sharded_path(self, tmp_path):
+    def test_reference_engine_fixture_passes_all_paths(self, tmp_path):
+        """Non-batchable jobs route every path to the reference loop."""
         spec = dag_scenario(
             "dag-ref-mini",
             seed=7,
@@ -632,11 +631,9 @@ class TestDagScenarios:
             "serial": "pass",
             "batched": "pass",
             "superstep": "pass",
-            "sharded": "skip",
         }
-        # a skip is not a finding; the render still counts it
         assert report.findings == ()
-        assert report.render().endswith("3 pass, 0 fail, 0 error, 1 skip")
+        assert report.render().endswith("3 pass, 0 fail, 0 error")
 
 
 class TestRecordOnGreen:

@@ -1,11 +1,12 @@
-"""Byte-identity proof of the sharded executor against the flat loop.
+"""Byte-identity of the windowed kernel loop against the reference loop.
 
-``simulate_job_set(..., shards=N)`` advances each allocation group through a
-window of quanta per supervised worker dispatch; ``shards=None`` is the flat
-centralized per-quantum loop.  The claim mirrors the batch/superstep claims:
-traces are *bit-identical* at any shard count, on every workload — mid-run
-releases, migrations at rebalancing boundaries, fault-injected dispatches,
-serial and pooled workers, superstep on and off.
+``simulate_job_set`` runs every batched job set as per-group windows of
+quanta (:func:`repro.sim.sharded.run_group_window`); ``batch="off"`` is the
+per-job reference loop, the oracle.  Traces must be *bit-identical* on every
+workload — mid-run releases, migrations at rebalancing boundaries,
+reallocation overhead, both feedback policies, superstep on and off, and
+flat allocators as one group.  Job sets the kernel loop cannot run (a
+non-batchable job, a mapping-only allocator) take the reference loop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.agreedy import AGreedy
 from repro.core.overhead import ReallocationOverhead
 from repro.dag import builders
 from repro.engine.phased import PhasedJob
-from repro.runtime.faults import FAULTS_ENV_VAR
+from repro.sim import multi
 from repro.sim.jobs import JobSpec
 from repro.sim.multi import MultiJobResult, simulate_job_set
 
@@ -69,164 +70,152 @@ def hier(**overrides) -> HierarchicalAllocator:
     return HierarchicalAllocator(**params)
 
 
-class TestHierarchicalShardIdentity:
-    @pytest.mark.parametrize("shards", [2, 4, 8])
-    def test_traces_identical_at_any_shard_count(self, shards):
-        specs = random_specs(24, seed=101)
-        flat = simulate_job_set(specs, hier(), 48, quantum_length=100)
-        sharded = simulate_job_set(
-            specs, hier(), 48, quantum_length=100, shards=shards
-        )
-        assert_identical(flat, sharded)
 
-    def test_auto_shards(self):
-        specs = random_specs(12, seed=7)
-        flat = simulate_job_set(specs, hier(), 36, quantum_length=50)
-        sharded = simulate_job_set(
-            specs, hier(), 36, quantum_length=50, shards="auto"
-        )
-        assert_identical(flat, sharded)
+
+class TestHierarchicalShardIdentity:
+    def test_traces_identical_to_reference(self):
+        specs = random_specs(24, seed=101)
+        ref = simulate_job_set(specs, hier(), 48, quantum_length=100, batch="off")
+        windowed = simulate_job_set(specs, hier(), 48, quantum_length=100)
+        assert_identical(ref, windowed)
 
     def test_superstep_off_also_identical(self):
         specs = random_specs(16, seed=23)
-        flat = simulate_job_set(
+        ref = simulate_job_set(
+            specs, hier(), 48, quantum_length=100, batch="off"
+        )
+        windowed = simulate_job_set(
             specs, hier(), 48, quantum_length=100, superstep="off"
         )
-        sharded = simulate_job_set(
-            specs, hier(), 48, quantum_length=100, superstep="off", shards=3
-        )
-        assert_identical(flat, sharded)
+        assert_identical(ref, windowed)
 
     def test_migrations_cross_windows(self):
         """A tight rebalancing interval forces job migrations between
         windows (slots exported from one group kernel into another)."""
         specs = random_specs(20, seed=55, max_release=1)
         allocator = hier(rebalance_interval=2, imbalance_threshold=0.05)
-        flat = simulate_job_set(specs, allocator, 40, quantum_length=80)
+        ref = simulate_job_set(specs, allocator, 40, quantum_length=80, batch="off")
         allocator2 = hier(rebalance_interval=2, imbalance_threshold=0.05)
-        sharded = simulate_job_set(
-            specs, allocator2, 40, quantum_length=80, shards=4
-        )
-        assert_identical(flat, sharded)
+        windowed = simulate_job_set(specs, allocator2, 40, quantum_length=80)
+        assert_identical(ref, windowed)
         # the scenario actually rebalanced: membership moved at least once
         assert allocator.group_count > 1
 
     def test_reallocation_overhead(self):
         specs = random_specs(10, seed=3, max_release=1000)
         oh = ReallocationOverhead(per_processor=0.5, fixed=7)
-        flat = simulate_job_set(specs, hier(), 32, quantum_length=60, overhead=oh)
-        sharded = simulate_job_set(
-            specs, hier(), 32, quantum_length=60, overhead=oh, shards=2
+        ref = simulate_job_set(
+            specs, hier(), 32, quantum_length=60, overhead=oh, batch="off"
         )
-        assert_identical(flat, sharded)
+        windowed = simulate_job_set(specs, hier(), 32, quantum_length=60, overhead=oh)
+        assert_identical(ref, windowed)
 
     def test_agreedy_policy(self):
         specs = random_specs(12, seed=31, policy=AGreedy())
-        flat = simulate_job_set(specs, hier(), 36, quantum_length=70)
-        sharded = simulate_job_set(specs, hier(), 36, quantum_length=70, shards=3)
-        assert_identical(flat, sharded)
+        ref = simulate_job_set(specs, hier(), 36, quantum_length=70, batch="off")
+        windowed = simulate_job_set(specs, hier(), 36, quantum_length=70)
+        assert_identical(ref, windowed)
 
     def test_late_releases_hit_idle_machine(self):
-        """Job gaps exercise the coordinator's idle fast-forward."""
+        """Job gaps exercise the barrier loop's idle fast-forward."""
         jobs = [PhasedJob([(4, 100)]), PhasedJob([(2, 50)]), PhasedJob([(8, 60)])]
         specs = [
             JobSpec(job=j, feedback=AControl(), release_time=r)
             for j, r in zip(jobs, [0, 20_000, 90_000])
         ]
-        flat = simulate_job_set(specs, hier(group_size=8), 16, quantum_length=100)
-        sharded = simulate_job_set(
-            specs, hier(group_size=8), 16, quantum_length=100, shards=2
+        ref = simulate_job_set(
+            specs, hier(group_size=8), 16, quantum_length=100, batch="off"
         )
-        assert_identical(flat, sharded)
+        windowed = simulate_job_set(specs, hier(group_size=8), 16, quantum_length=100)
+        assert_identical(ref, windowed)
 
 
 class TestFlatAllocatorsSharded:
     """Non-hierarchical array-native allocators run as a single group
-    spanning the machine — the windowed execution (and its group-local
-    supersteps) must still reproduce the flat loop exactly."""
+    spanning the machine — its windows (and their supersteps) must still
+    reproduce the reference loop exactly."""
 
     @pytest.mark.parametrize(
         "make", [DynamicEquiPartitioning, RoundRobinAllocator]
     )
     def test_single_group_identity(self, make):
         specs = random_specs(18, seed=77)
-        flat = simulate_job_set(specs, make(), 40, quantum_length=100)
-        sharded = simulate_job_set(
-            specs, make(), 40, quantum_length=100, shards=2
-        )
-        assert_identical(flat, sharded)
+        ref = simulate_job_set(specs, make(), 40, quantum_length=100, batch="off")
+        windowed = simulate_job_set(specs, make(), 40, quantum_length=100)
+        assert_identical(ref, windowed)
 
 
-class TestFaultTolerance:
-    def test_identity_under_injected_faults(self, monkeypatch):
-        """Transient worker faults retry the window from pristine state;
-        the gathered traces stay byte-identical to the clean flat run."""
-        specs = random_specs(16, seed=13)
-        flat = simulate_job_set(specs, hier(), 36, quantum_length=100)
-        monkeypatch.setenv(
-            FAULTS_ENV_VAR, "seed=11:rate=0.6:kinds=transient:max-failures=2"
+class MappingOnly(Allocator):
+    """An allocator without an array-native ``allocate_batch``."""
+
+    fair = False
+    non_reserving = False
+
+    def allocate(self, requests, total):
+        return {j: 1 for j in requests}
+
+
+class TestRouting:
+    """Every job batchable and an array-native allocator: group windows.
+    Anything else: the reference loop, for the whole set."""
+
+    @pytest.fixture
+    def window_calls(self, monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real = multi.run_group_window
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multi, "run_group_window", counting)
+        return calls
+
+    def test_batchable_set_runs_group_windows(self, window_calls):
+        simulate_job_set(random_specs(6, seed=2), hier(), 16, quantum_length=100)
+        assert window_calls
+
+    def test_non_batchable_job_mixed_with_phased_runs_reference_loop(
+        self, window_calls
+    ):
+        dag = builders.fork_join_from_phases([(1, 2), (4, 3)])
+        specs = random_specs(5, seed=8, max_release=300)
+        specs.insert(
+            2,
+            JobSpec(job=dag, feedback=AControl(), engine="reference", release_time=150),
         )
-        sharded = simulate_job_set(
-            specs, hier(), 36, quantum_length=100, shards=4, retries=3
-        )
-        assert_identical(flat, sharded)
+        ref = simulate_job_set(specs, hier(), 24, quantum_length=100, batch="off")
+        mixed = simulate_job_set(specs, hier(), 24, quantum_length=100)
+        assert_identical(ref, mixed)
+        assert window_calls == []
+
+    def test_mapping_only_allocator_runs_reference_loop(self, window_calls):
+        specs = random_specs(4, seed=1)
+        ref = simulate_job_set(specs, MappingOnly(), 16, batch="off")
+        result = simulate_job_set(specs, MappingOnly(), 16)
+        assert_identical(ref, result)
+        assert window_calls == []
 
 
 class TestValidation:
-    def test_bad_shard_values_rejected(self):
-        specs = random_specs(4, seed=1)
-        with pytest.raises(ValueError, match="shard count"):
-            simulate_job_set(specs, hier(), 16, shards=0)
-        with pytest.raises(ValueError, match="unknown shards mode"):
-            simulate_job_set(specs, hier(), 16, shards="many")  # type: ignore[arg-type]
-
-    def test_shards_one_is_the_flat_loop(self):
-        specs = random_specs(6, seed=2)
-        flat = simulate_job_set(specs, hier(), 16, quantum_length=100)
-        one = simulate_job_set(specs, hier(), 16, quantum_length=100, shards=1)
-        assert_identical(flat, one)
-
-    def test_batch_off_conflicts_with_sharding(self):
-        specs = random_specs(4, seed=1)
-        with pytest.raises(ValueError, match="batched kernel"):
-            simulate_job_set(specs, hier(), 16, shards=2, batch="off")
-
-    def test_mapping_only_allocator_rejected(self):
-        class MappingOnly(Allocator):
-            fair = False
-            non_reserving = False
-
-            def allocate(self, requests, total):
-                return {j: 1 for j in requests}
-
-        specs = random_specs(4, seed=1)
-        with pytest.raises(ValueError, match="array-native"):
-            simulate_job_set(specs, MappingOnly(), 16, shards=2)
-
-    def test_non_batchable_job_rejected(self):
-        dag = builders.fork_join_from_phases([(1, 2), (4, 3)])
-        specs = [JobSpec(job=dag, feedback=AControl(), engine="reference")]
-        with pytest.raises(ValueError, match="not batchable"):
-            simulate_job_set(specs, DynamicEquiPartitioning(), 16, shards=2)
-
     def test_duplicate_ids_rejected(self):
         spec = JobSpec(job=PhasedJob([(1, 1)]), feedback=AControl(), job_id=5)
         with pytest.raises(ValueError, match="duplicate"):
-            simulate_job_set([spec, spec], hier(), 16, shards=2)
+            simulate_job_set([spec, spec], hier(), 16)
 
 
 class TestScaleSmoke:
     def test_thousands_of_jobs_many_groups(self):
         """A reduced cut of the giant-scale scenario: hundreds of jobs over
-        many groups, identical at 4 shards."""
+        many groups."""
         specs = random_specs(200, seed=91, max_release=2000)
-        flat = simulate_job_set(
+        ref = simulate_job_set(
+            specs, hier(group_size=64, rebalance_interval=25), 512,
+            quantum_length=100, batch="off",
+        )
+        windowed = simulate_job_set(
             specs, hier(group_size=64, rebalance_interval=25), 512,
             quantum_length=100,
         )
-        sharded = simulate_job_set(
-            specs, hier(group_size=64, rebalance_interval=25), 512,
-            quantum_length=100, shards=4,
-        )
-        assert_identical(flat, sharded)
-        assert len(flat.traces) == 200
+        assert_identical(ref, windowed)
+        assert len(ref.traces) == 200
