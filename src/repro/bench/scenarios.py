@@ -141,7 +141,7 @@ def _run_multi(scale: str, batch: BatchChoice) -> int:
         result = simulate_job_set(
             specs, DynamicEquiPartitioning(), 128, batch=batch, superstep="off"
         )
-        total += sum(len(t.records) for t in result.traces.values())
+        total += sum(len(t) for t in result.traces.values())
     return total
 
 
@@ -180,7 +180,7 @@ def _run_stable(scale: str, superstep: SuperstepChoice) -> int:
         quantum_length=1000,
         superstep=superstep,
     )
-    return sum(len(t.records) for t in result.traces.values())
+    return sum(len(t) for t in result.traces.values())
 
 
 def _multi_superstep(scale: str) -> int:
@@ -211,7 +211,7 @@ def _run_hier(scale: str, batch: BatchChoice) -> int:
             batch=batch,
             superstep="off",
         )
-        total += sum(len(t.records) for t in result.traces.values())
+        total += sum(len(t) for t in result.traces.values())
     return total
 
 

@@ -81,7 +81,7 @@ class FeedbackPolicy(ABC):
         consecutive quanta that all repeat exactly these measurements, or
         ``None`` when the recurrence cannot be fast-forwarded.
 
-        The superstep layer (:mod:`repro.sim.multi`) fast-forwards ``K``
+        The superstep layer (:mod:`repro.sim.sharded`) fast-forwards ``K``
         quanta only when the per-quantum measurements are literally constant,
         so the K-step recurrence collapses: every policy in the repo — ABG's
         geometric filter ``d' = r*d + (1-r)*A``, A-Greedy's multiplicative

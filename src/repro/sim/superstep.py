@@ -62,7 +62,6 @@ from ..core.types import JobTrace, quantum_records_from_columns
 
 __all__ = [
     "SuperstepArena",
-    "SupersetArena",
     "SuperstepPlan",
     "QuantumGroup",
     "QuantumLog",
@@ -185,10 +184,6 @@ class SuperstepArena:
         self.n = m
 
 
-#: The ISSUE's original spelling of the arena, kept as an alias.
-SupersetArena = SuperstepArena
-
-
 @dataclass(frozen=True, slots=True)
 class SuperstepPlan:
     """Per-slot closed-form description of the upcoming pure quanta.
@@ -274,7 +269,7 @@ class QuantumLog:
         admission/removal; cheap relative to how rarely membership changes)."""
         # np.array, not np.asarray: the caller hands in its *live* slot
         # layout (the kernel keeps appending/compacting it), so the stored
-        # epoch must own its memory (ABG341)
+        # epoch must own its memory (tests/test_superstep_lifetime.py)
         self._layouts.append(np.array(jids, dtype=np.int64))
         self._epoch += 1
 

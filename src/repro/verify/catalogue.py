@@ -4,14 +4,14 @@
 severity + one-line summary); this module is the *human* registry: per
 rule, the hazard it guards against, a minimal example that fires it, and
 what a justified suppression looks like.  ``docs/STATIC_ANALYSIS.md``
-renders the same material as prose — ``tests/test_verify_provenance.py``
+renders the same material as prose — ``tests/test_verify_lint.py``
 checks that every code in :data:`RULES` has a catalogue entry and that
 every catalogue code is mentioned in the doc, so the three surfaces
 cannot drift silently.
 
 Usage::
 
-    python -m repro lint --explain ABG341
+    python -m repro lint --explain ABG314
     from repro.verify.catalogue import CATALOGUE, explain
 """
 
@@ -66,9 +66,12 @@ CATALOGUE: dict[str, RuleEntry] = {
         _entry(
             "ABG101",
             "Every reproduced figure is seeded from default_rng_seed; "
-            "ambient RNG state (stdlib random, np.random.*) makes runs "
-            "incomparable bit-for-bit.",
-            "import random; random.shuffle(jobs)",
+            "ambient RNG state (stdlib random, np.random.*) or a "
+            "seedless default_rng() makes runs incomparable "
+            "bit-for-bit, and breaks the per-factor child streams "
+            "(default_rng([seed, factor])) that keep sweep jobs "
+            "independent of worker count and sweep composition.",
+            "import random; random.shuffle(jobs)\nrng = np.random.default_rng()",
             "Only for code provably outside any result path (e.g. a "
             "demo script); state that in the reason.",
         ),
@@ -85,8 +88,10 @@ CATALOGUE: dict[str, RuleEntry] = {
             "ABG103",
             "A mutable default aliases state across calls; policies "
             "must be stateless per quantum (the A-Control recurrence "
-            "reads only A(q-1)).",
-            "def run(jobs=[]): ...",
+            "reads only A(q-1)), and inside a pool worker the aliasing "
+            "makes results depend on how tasks were batched onto "
+            "processes.",
+            "def run(jobs=[]): ...\ndef work(u, seen=collections.deque()): ...",
             "Rarely justified; use None + in-body construction instead.",
         ),
         _entry(
@@ -115,21 +120,6 @@ CATALOGUE: dict[str, RuleEntry] = {
             "Acceptable only for pure memoization where the cached "
             "value is a function of its key alone (see "
             "bench/scenarios.py); the reason must state that property.",
-        ),
-        _entry(
-            "ABG202",
-            "Call-to-call aliasing inside a worker makes results depend "
-            "on how tasks were batched onto processes.",
-            "def work(u, acc=[]): ...",
-            "Rarely justified; use None + in-body construction instead.",
-        ),
-        _entry(
-            "ABG211",
-            "Per-factor child streams (default_rng([seed, factor])) are "
-            "what make sweep jobs independent of sweep composition; a "
-            "seedless generator breaks that independence.",
-            "rng = np.random.default_rng()  # on a worker path",
-            "Only for code provably outside any result path; say so.",
         ),
         _entry(
             "ABG212",
@@ -270,46 +260,6 @@ CATALOGUE: dict[str, RuleEntry] = {
             "Prefer a DEFAULT_ROOT_PATTERNS entry for registry dispatch "
             "over a suppression, so the callees stay inside the proved "
             "set.",
-        ),
-        _entry(
-            "ABG341",
-            "The callee stores a statically-possible view of a buffer "
-            "the caller's class keeps mutating in place; later writes "
-            "through the arena silently rewrite the 'recorded' data.",
-            "log.set_layout(kernel.jids)   # callee stores np.asarray(jids)\nkernel.admit(job)              # mutates jids in place",
-            "Acceptable when the callee is known to consume the view "
-            "before the next mutation; prefer an explicit .copy() at "
-            "the boundary — the reason must state the lifetime argument.",
-        ),
-        _entry(
-            "ABG342",
-            "Cross-call generalization of ABG314: when the out= target "
-            "and an input resolve to the same buffer through a call "
-            "boundary, partial results overwrite operands still being "
-            "read.",
-            "def step(self):\n    scale(self.work, out=self.work_view)  # both alias one arena column",
-            "Acceptable only for provably element-wise same-index "
-            "aliasing; the reason must argue that safety.",
-        ),
-        _entry(
-            "ABG343",
-            "Write-after-borrow: a stored view of a buffer the owning "
-            "class mutates in place goes stale the moment the class "
-            "writes again — the stored 'snapshot' tracks the live data.",
-            "self.snapshot = self._arena.work[: self.n]  # arena later written in place",
-            "Acceptable when the store is an intentional live window "
-            "(a borrow, not a snapshot); the reason must say the "
-            "consumer expects live data.",
-        ),
-        _entry(
-            "ABG344",
-            "A view of a doubling/resize-managed buffer dangles after "
-            "the next reallocation: the owner's writes land in the new "
-            "buffer while the stored view still reads the old one.",
-            "self.window = self._arena.slots[:n]  # arena doubles on demand",
-            "Acceptable only when no reallocation can occur during the "
-            "view's lifetime (e.g. capacity pre-sized); the reason "
-            "must state that bound.",
         ),
         _entry(
             "ABG401",

@@ -8,11 +8,7 @@ propagating reachability from the worker-dispatched entry points to a
 fixpoint.  The ``ABG3xx`` family adds the scalar↔batched kernel contract:
 an API-parity pass over the ``Allocator``/``FeedbackPolicy`` hierarchies
 and a numerical-determinism pass over the array-kernel modules
-(:mod:`repro.verify.flow.kernel`).  Flow v3 extends the summaries with
-buffer points-to facts and proves the arena aliasing contract — no view
-of an in-place-mutated or doubling-growth buffer stored past a write or
-reallocation (:mod:`repro.verify.flow.provenance`, rules
-``ABG341``–``ABG344``).  See :mod:`repro.verify.flow.analysis` for the
+(:mod:`repro.verify.flow.kernel`).  See :mod:`repro.verify.flow.analysis` for the
 rule families and docs/STATIC_ANALYSIS.md for the full catalogue.
 
 Entry points::
@@ -36,34 +32,11 @@ from .kernel import (
     numeric_findings,
     parity_findings,
 )
-from .model import (
-    AttrWrite,
-    BufferEscape,
-    BufferRebind,
-    BufferReturn,
-    BufferWrite,
-    CallArgBuffers,
-    FunctionSummary,
-    ModuleInfo,
-    OutCall,
-)
-from .provenance import (
-    ClassBufferFacts,
-    class_buffer_facts,
-    provenance_findings,
-    resolve_buffer_root,
-)
+from .model import AttrWrite, FunctionSummary, ModuleInfo
 from .summarize import summarize_module
 
 __all__ = [
     "AttrWrite",
-    "BufferEscape",
-    "BufferRebind",
-    "BufferReturn",
-    "BufferWrite",
-    "CallArgBuffers",
-    "ClassBufferFacts",
-    "OutCall",
     "DEFAULT_CACHE_PATH",
     "DEFAULT_KERNEL_PATTERNS",
     "DEFAULT_ROOT_PATTERNS",
@@ -77,11 +50,8 @@ __all__ = [
     "analyze_paths",
     "analyzer_version",
     "build_call_graph",
-    "class_buffer_facts",
     "is_kernel_path",
     "numeric_findings",
     "parity_findings",
-    "provenance_findings",
-    "resolve_buffer_root",
     "summarize_module",
 ]

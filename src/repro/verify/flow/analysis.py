@@ -10,15 +10,15 @@ rules apply:
 - ``ABG201`` — writes to module-global or closure state (a worker's
   globals are per-process: any such write silently diverges between serial
   and parallel runs);
-- ``ABG202`` — mutable default arguments (call-to-call aliasing inside a
-  worker);
-- ``ABG211`` — ambient randomness: seedless ``default_rng()``, stdlib
-  ``random``, numpy global state;
 - ``ABG212`` — a ``default_rng(seed)`` whose seed expression is not
   data-flow-derived from a parameter, literal, or module constant;
 - ``ABG221`` — hash-order set iteration without ``sorted(...)``;
 - ``ABG231`` — unpicklable or handle-bearing payloads at the dispatch
   sites themselves (reported wherever they occur).
+
+Mutable defaults and seedless or global-state randomness are the
+file-local ``ABG103``/``ABG101``'s: those rules already cover every file
+of ``src/repro``, worker-reachable or not.
 
 Flow-analyzer v2 adds attribute-level and exception-path rules on the
 same reachable set:
@@ -72,7 +72,6 @@ from .kernel import (
     parity_findings,
 )
 from .model import FunctionSummary, ModuleInfo
-from .provenance import provenance_findings
 from .summarize import summarize_module
 
 __all__ = ["FlowReport", "analyze_paths", "DEFAULT_ROOT_PATTERNS"]
@@ -168,38 +167,14 @@ def _function_findings(
             f"{write.name!r}; workers each see their own copy, so results "
             "depend on the worker count — pass state through the task instead",
         )
-    for default in summary.mutable_defaults:
-        emit(
-            default.line,
-            "ABG202",
-            "mutable default argument on a worker-reachable function aliases "
-            "state across calls within a worker; default to None",
-        )
     for rng in summary.rng_uses:
-        if rng.kind == "seedless":
-            emit(
-                rng.line,
-                "ABG211",
-                "default_rng() without a seed on a parallel path draws "
-                "OS entropy per process; derive the stream from the task "
-                "(e.g. default_rng([seed, key]))",
-            )
-        elif rng.kind == "ambient":
-            emit(
-                rng.line,
-                "ABG211",
-                f"ambient randomness ({rng.detail}) on a parallel path; "
-                "every worker shares no state — pass an explicitly seeded "
-                "Generator instead",
-            )
-        else:
-            emit(
-                rng.line,
-                "ABG212",
-                "RNG seed on a parallel path is not derived from a seed "
-                "parameter, literal, or module constant; thread the seed "
-                "through the task arguments",
-            )
+        emit(
+            rng.line,
+            "ABG212",
+            "RNG seed on a parallel path is not derived from a seed "
+            "parameter, literal, or module constant; thread the seed "
+            "through the task arguments",
+        )
     for it in summary.set_iterations:
         emit(
             it.line,
@@ -410,10 +385,6 @@ def analyze_paths(
     # -- kernel passes (ABG3xx) ----------------------------------------------
     report.findings.extend(parity_findings(index, sources, parity_contracts))
     report.findings.extend(inferred_pair_findings(index, sources, parity_contracts))
-    # buffer-provenance rules (ABG34x) run tree-wide like the parity pass:
-    # aliasing hazards corrupt recorded traces wherever they occur, not
-    # only on worker-dispatched paths
-    report.findings.extend(provenance_findings(index, sources))
     kernel_files = 0
     for path_str, lines in sources.items():
         if not is_kernel_path(path_str, kernel_patterns):

@@ -39,7 +39,7 @@ __all__ = [
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_PATH = Path(".abg_cache") / "flow-summaries.json"
 
-_SCHEMA = 5  # 5: flow v3 buffer-provenance summaries (points-to facts, ABG34x)
+_SCHEMA = 6  # 6: buffer points-to, mutable-default and seedless/ambient RNG facts dropped
 
 
 def analyzer_version() -> str:

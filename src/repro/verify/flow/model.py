@@ -24,15 +24,8 @@ __all__ = [
     "RngUse",
     "SetIteration",
     "PayloadRisk",
-    "MutableDefault",
     "DispatchSite",
     "AttrWrite",
-    "BufferWrite",
-    "BufferRebind",
-    "BufferEscape",
-    "BufferReturn",
-    "OutCall",
-    "CallArgBuffers",
     "FunctionSummary",
     "ModuleInfo",
     "function_id",
@@ -74,16 +67,11 @@ class GlobalWrite:
 
 @dataclass(frozen=True, slots=True)
 class RngUse:
-    """A randomness introduction.
-
-    ``kind``: ``"seedless"`` (``default_rng()`` with no argument),
-    ``"unseeded-seed"`` (a seed expression not derived from parameters,
-    literals, or module constants), or ``"ambient"`` (stdlib ``random`` /
-    numpy global-state use).
-    """
+    """A ``default_rng(seed)`` whose seed expression is not derived from
+    parameters, literals, or module constants.  Seedless and ambient
+    randomness is the file-local ABG101's, which covers every file."""
 
     line: int
-    kind: str
     detail: str = ""
 
 
@@ -106,13 +94,6 @@ class PayloadRisk:
     line: int
     kind: str
     detail: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class MutableDefault:
-    """A mutable default argument (interprocedural counterpart of ABG103)."""
-
-    line: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,94 +123,6 @@ class AttrWrite:
     root_kind: str
 
 
-# -- buffer-provenance facts (flow v3) ---------------------------------------
-#
-# Provenance *roots* are canonical strings naming the buffer an expression
-# aliases:
-#
-# - ``"param:NAME"``     — a function parameter's buffer
-# - ``"self.PATH"``      — an attribute chain rooted at ``self`` (dots only;
-#   ``"self.*"`` when the attribute is dynamic, e.g. ``getattr(self, name)``)
-# - ``"typed:Ref.PATH"`` — an attribute chain rooted at a local whose class
-#   is known from an annotation or constructor assignment (``Ref`` is the
-#   class reference as written; the analysis expands it through imports)
-# - ``"global:NAME"``    — a module-level binding
-#
-# Provenance *kinds* say how the value relates to the root buffer:
-# ``"base"`` (the buffer itself), ``"view"`` (a numpy view of it —
-# slicing, ``reshape``, ``.view``, ``np.asarray``, broadcast, transpose),
-# ``"copy"`` (``.copy()``, ``np.array``, ``.astype``, fancy indexing —
-# no aliasing survives).  Only ``base``/``view`` alias the root.
-
-
-@dataclass(frozen=True, slots=True)
-class BufferWrite:
-    """An in-place write into a buffer: item/slice store (``kind="index"``),
-    a mutating method (``"method"`` — ``.sort()``, ``.fill()``,
-    ``.append()`` on a container attribute), or a ufunc ``out=`` target
-    (``"out"``)."""
-
-    target: str
-    line: int
-    kind: str
-
-
-@dataclass(frozen=True, slots=True)
-class BufferRebind:
-    """A potential reallocation point: ``self.ATTR`` rebound to a fresh
-    array outside ``__init__``, a dynamic ``setattr(self, name, ...)``
-    (``attr="*"``), or an in-place ``.resize()``.  Views taken before the
-    rebind go stale — the doubling-arena hazard ABG344 tracks."""
-
-    attr: str
-    line: int
-
-
-@dataclass(frozen=True, slots=True)
-class BufferEscape:
-    """A buffer value stored beyond the call frame: onto ``self``
-    (``via="self.ATTR"``), into a container reached from ``self`` or module
-    state (``via="container"``), onto another object (``via="typed:..."``),
-    or into module state (``via="global:NAME"``)."""
-
-    root: str
-    kind: str
-    via: str
-    line: int
-
-
-@dataclass(frozen=True, slots=True)
-class BufferReturn:
-    """Provenance of a returned expression (the *borrow* a caller holds)."""
-
-    root: str
-    kind: str
-    line: int
-
-
-@dataclass(frozen=True, slots=True)
-class OutCall:
-    """A ufunc call with ``out=`` whose operands are buffer-rooted;
-    ``inputs`` is a comma-joined list of the input roots."""
-
-    out_root: str
-    out_kind: str
-    inputs: str
-    line: int
-
-
-@dataclass(frozen=True, slots=True)
-class CallArgBuffers:
-    """Buffer-rooted arguments at one call site.  Each entry is
-    ``"root@kind"`` (``""`` for a non-buffer argument); keyword entries are
-    ``"name=root@kind"``."""
-
-    callee: str
-    line: int
-    args: tuple[str, ...] = ()
-    kwargs: tuple[str, ...] = ()
-
-
 @dataclass(slots=True)
 class FunctionSummary:
     """The effect summary of one function or method."""
@@ -248,18 +141,10 @@ class FunctionSummary:
     rng_uses: tuple[RngUse, ...] = ()
     set_iterations: tuple[SetIteration, ...] = ()
     payload_risks: tuple[PayloadRisk, ...] = ()
-    mutable_defaults: tuple[MutableDefault, ...] = ()
     dispatches: tuple[DispatchSite, ...] = ()
     attr_writes: tuple[AttrWrite, ...] = ()
     #: lines of explicit ``raise`` statements (exception-path effect model)
     raises: tuple[int, ...] = ()
-    #: buffer-provenance facts (flow v3) — see the root/kind conventions above
-    buffer_writes: tuple[BufferWrite, ...] = ()
-    buffer_rebinds: tuple[BufferRebind, ...] = ()
-    buffer_escapes: tuple[BufferEscape, ...] = ()
-    buffer_returns: tuple[BufferReturn, ...] = ()
-    out_calls: tuple[OutCall, ...] = ()
-    call_buffers: tuple[CallArgBuffers, ...] = ()
 
 
 @dataclass(slots=True)
@@ -286,13 +171,6 @@ class ModuleInfo:
     #: module-level names bound to constructed class instances — shared
     #: state the attribute-mutation tracking (ABG331) watches
     instance_globals: tuple[str, ...] = ()
-    #: class name -> {attr -> constructor dotted name} for ``self.ATTR =
-    #: Ctor(...)`` assignments in methods — the type table the provenance
-    #: pass uses to resolve ``self.X.Y`` chains across objects
-    attr_ctors: dict[str, dict[str, str]] = field(default_factory=dict)
-    #: class name -> attributes ever assigned a numpy-call result — the
-    #: buffers the wildcard (``"*"``) write/rebind facts range over
-    array_attrs: dict[str, tuple[str, ...]] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
 
 
@@ -302,15 +180,8 @@ _TUPLE_FIELDS: dict[str, type] = {
     "rng_uses": RngUse,
     "set_iterations": SetIteration,
     "payload_risks": PayloadRisk,
-    "mutable_defaults": MutableDefault,
     "dispatches": DispatchSite,
     "attr_writes": AttrWrite,
-    "buffer_writes": BufferWrite,
-    "buffer_rebinds": BufferRebind,
-    "buffer_escapes": BufferEscape,
-    "buffer_returns": BufferReturn,
-    "out_calls": OutCall,
-    "call_buffers": CallArgBuffers,
 }
 
 
@@ -328,12 +199,6 @@ def module_payload(info: ModuleInfo) -> dict[str, Any]:
             name: list(attrs) for name, attrs in info.class_attrs.items()
         },
         "instance_globals": list(info.instance_globals),
-        "attr_ctors": {
-            name: dict(attrs) for name, attrs in info.attr_ctors.items()
-        },
-        "array_attrs": {
-            name: list(attrs) for name, attrs in info.array_attrs.items()
-        },
         "functions": {
             name: {
                 "qualname": fn.qualname,
@@ -365,15 +230,7 @@ def module_from_payload(payload: Mapping[str, Any]) -> ModuleInfo:
             "raises": tuple(int(r) for r in raw.get("raises", ())),
         }
         for fname, cls in _TUPLE_FIELDS.items():
-            kwargs[fname] = tuple(
-                cls(
-                    **{
-                        key: tuple(value) if isinstance(value, list) else value
-                        for key, value in item.items()
-                    }
-                )
-                for item in raw.get(fname, ())
-            )
+            kwargs[fname] = tuple(cls(**item) for item in raw.get(fname, ()))
         functions[name] = FunctionSummary(**kwargs)
     return ModuleInfo(
         module=str(payload["module"]),
@@ -390,13 +247,5 @@ def module_from_payload(payload: Mapping[str, Any]) -> ModuleInfo:
             for name, attrs in payload.get("class_attrs", {}).items()
         },
         instance_globals=tuple(payload.get("instance_globals", ())),
-        attr_ctors={
-            name: dict(attrs)
-            for name, attrs in payload.get("attr_ctors", {}).items()
-        },
-        array_attrs={
-            name: tuple(attrs)
-            for name, attrs in payload.get("array_attrs", {}).items()
-        },
         functions=functions,
     )

@@ -14,9 +14,10 @@ What the summarizer records, per function:
 - **global writes** — ``global``/``nonlocal`` rebinding, plus in-place
   mutation of module-level objects (item/attribute assignment, augmented
   assignment, mutating method calls such as ``.append``/``.update``);
-- **RNG uses** — ``numpy.random.default_rng`` calls classified by a local
-  seed dataflow (seedless / seed not derived from parameters, literals, or
-  module constants), and ambient global-state randomness;
+- **RNG uses** — ``numpy.random.default_rng(seed)`` calls whose seed a
+  local dataflow cannot derive from parameters, literals, or module
+  constants (seedless and global-state randomness is the file-local
+  ABG101's);
 - **set iterations** — ``for``/comprehension iteration over expressions
   *inferred* to be sets (displays, ``set()``/``frozenset()`` calls, set
   algebra, set-annotated names and locals assigned from set expressions)
@@ -34,29 +35,17 @@ import ast
 
 from .model import (
     AttrWrite,
-    BufferEscape,
-    BufferRebind,
-    BufferReturn,
-    BufferWrite,
-    CallArgBuffers,
     CallSite,
     DispatchSite,
     FunctionSummary,
     GlobalWrite,
     ModuleInfo,
-    MutableDefault,
-    OutCall,
     PayloadRisk,
     RngUse,
     SetIteration,
 )
 
 __all__ = ["summarize_module", "expand_name", "module_name_for_path"]
-
-#: numpy.random attributes that never touch global state.
-_SAFE_NP_RANDOM = frozenset(
-    {"Generator", "SeedSequence", "default_rng", "BitGenerator", "PCG64"}
-)
 
 _MUTABLE_CONSTRUCTORS = frozenset(
     {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter", "OrderedDict"}
@@ -77,50 +66,6 @@ _PURE_BUILTINS = frozenset(
 
 #: Callables that unwrap to their first argument when scanning iterables.
 _ITER_WRAPPERS = frozenset({"list", "tuple", "reversed", "enumerate", "iter"})
-
-# -- buffer-provenance vocabulary (flow v3) ----------------------------------
-
-#: numpy functions whose result may *alias* their first argument.
-_VIEW_FUNCS = frozenset(
-    {
-        "asarray", "ascontiguousarray", "asfortranarray", "ravel", "reshape",
-        "broadcast_to", "atleast_1d", "atleast_2d", "squeeze", "transpose",
-        "swapaxes", "moveaxis", "expand_dims",
-    }
-)
-
-#: array methods whose result is a view of the receiver.
-_VIEW_METHODS = frozenset(
-    {"reshape", "view", "ravel", "transpose", "swapaxes", "squeeze"}
-)
-
-#: numpy functions whose result shares no memory with the inputs.
-_COPY_FUNCS = frozenset({"array", "copy", "fromiter", "concatenate", "stack", "repeat", "tile"})
-
-#: array methods whose result shares no memory with the receiver.
-_COPY_METHODS = frozenset({"copy", "astype", "flatten", "tolist"})
-
-#: array methods that write the receiver in place.
-_ARRAY_MUTATORS = frozenset({"fill", "sort", "put", "partition", "itemset"})
-
-#: container methods whose arguments are *stored* (reference escape).
-_STORING_METHODS = frozenset({"append", "extend", "insert", "add", "appendleft"})
-
-
-def _combine_kind(inner: str, op: str) -> str:
-    """view-of-view stays a view; any copy breaks aliasing with the root."""
-    return "copy" if (inner == "copy" or op == "copy") else "view"
-
-
-def _is_pure_slice(node: ast.expr) -> bool:
-    """Whether a subscript index yields a numpy *view* (slices only —
-    scalar and fancy indexing materialize or reduce instead)."""
-    if isinstance(node, ast.Slice):
-        return True
-    if isinstance(node, ast.Tuple):
-        return bool(node.elts) and all(_is_pure_slice(e) for e in node.elts)
-    return False
-
 
 def module_name_for_path(path: str) -> str:
     """Infer a module's dotted name by walking up through ``__init__.py``s."""
@@ -305,7 +250,6 @@ class _FunctionScanner(ast.NodeVisitor):
         self.rng_uses: list[RngUse] = []
         self.set_iterations: list[SetIteration] = []
         self.payload_risks: list[PayloadRisk] = []
-        self.mutable_defaults: list[MutableDefault] = []
         self.dispatches: list[DispatchSite] = []
         self.attr_writes: list[AttrWrite] = []
         self.raises: list[int] = []
@@ -337,26 +281,7 @@ class _FunctionScanner(ast.NodeVisitor):
             if refs:
                 self.var_types[a.arg] = refs
 
-        # -- buffer-provenance state (flow v3) --
-        #: local name -> (root, kind); params start as their own base buffer
-        self.buf_prov: dict[str, tuple[str, str]] = {
-            p: (f"param:{p}", "base") for p in self.params if p not in ("self", "cls")
-        }
-        #: ctor-assigned local -> aliasing (root, kind) pairs it captured
-        self.captures: dict[str, tuple[tuple[str, str], ...]] = {}
-        self.buffer_writes: list[BufferWrite] = []
-        self.buffer_rebinds: list[BufferRebind] = []
-        self.buffer_escapes: list[BufferEscape] = []
-        self.buffer_returns: list[BufferReturn] = []
-        self.out_calls: list[OutCall] = []
-        self.call_buffers: list[CallArgBuffers] = []
-        #: ``self.ATTR = Ctor(...)`` / ``self.ATTR = np.<fn>(...)`` sightings,
-        #: merged into ModuleInfo.attr_ctors / array_attrs by summarize_module
-        self.self_attr_ctors: dict[str, str] = {}
-        self.self_array_attrs: set[str] = set()
-
         self._collect_local_bindings(node)
-        self._check_defaults(node.args)
 
     # -- setup ---------------------------------------------------------------
 
@@ -395,11 +320,6 @@ class _FunctionScanner(ast.NodeVisitor):
         # names declared global/nonlocal are *not* local bindings
         self.local_bindings -= self.declared_globals
         self.local_bindings -= self.declared_nonlocals
-
-    def _check_defaults(self, args: ast.arguments) -> None:
-        for default in [*args.defaults, *args.kw_defaults]:
-            if default is not None and _mutable_value(default):
-                self.mutable_defaults.append(MutableDefault(line=default.lineno))
 
     # -- helpers -------------------------------------------------------------
 
@@ -504,124 +424,11 @@ class _FunctionScanner(ast.NodeVisitor):
                 SetIteration(line=iter_node.lineno, detail=detail)
             )
 
-    # -- buffer provenance (flow v3) -----------------------------------------
-
-    def _buffer_provenance(self, node: ast.expr) -> tuple[str, str] | None:
-        """``(root, kind)`` the expression may alias, or ``None`` when no
-        tracked buffer stands behind it.  Roots and kinds follow the
-        conventions documented in :mod:`repro.verify.flow.model`."""
-        if isinstance(node, ast.Name):
-            entry = self.buf_prov.get(node.id)
-            if entry is not None:
-                return entry
-            if node.id not in self.local_bindings and (
-                self._is_module_global(node.id)
-                or node.id in self.info.instance_globals
-            ):
-                return (f"global:{node.id}", "base")
-            return None
-        if isinstance(node, ast.Attribute):
-            if node.attr == "T":
-                inner = self._buffer_provenance(node.value)
-                return (inner[0], _combine_kind(inner[1], "view")) if inner else None
-            chain = _chain_root(node)
-            if chain is None:
-                return None
-            root, path = chain
-            if "[]" in path.split("."):
-                return None
-            if root in ("self", "cls"):
-                return (f"self.{path}", "base")
-            if root in self.var_types and root in self.local_bindings:
-                return (f"typed:{self.var_types[root][0]}.{path}", "base")
-            entry = self.buf_prov.get(root)
-            if (
-                entry is not None
-                and entry[1] == "base"
-                and not entry[0].startswith("param:")
-            ):
-                # attribute chain through a tracked alias (arena = self._arena)
-                return (f"{entry[0]}.{path}", "base")
-            return None
-        if isinstance(node, ast.Subscript):
-            inner = self._buffer_provenance(node.value)
-            if inner is None:
-                return None
-            if _is_pure_slice(node.slice):
-                return (inner[0], _combine_kind(inner[1], "view"))
-            return None  # scalar/fancy indexing: no aliasing survives
-        if isinstance(node, ast.IfExp):
-            return self._buffer_provenance(node.body) or self._buffer_provenance(
-                node.orelse
-            )
-        if isinstance(node, ast.NamedExpr):
-            return self._buffer_provenance(node.value)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                if (
-                    func.id == "getattr"
-                    and node.args
-                    and isinstance(node.args[0], ast.Name)
-                    and node.args[0].id == "self"
-                ):
-                    attr = node.args[1] if len(node.args) > 1 else None
-                    if isinstance(attr, ast.Constant) and isinstance(attr.value, str):
-                        return (f"self.{attr.value}", "base")
-                    return ("self.*", "base")
-                return None
-            if isinstance(func, ast.Attribute):
-                if func.attr in _COPY_METHODS or func.attr in _VIEW_METHODS:
-                    inner = self._buffer_provenance(func.value)
-                    if inner is None:
-                        return None
-                    op = "copy" if func.attr in _COPY_METHODS else "view"
-                    return (inner[0], _combine_kind(inner[1], op))
-                expanded = self._expanded(func)
-                if expanded is not None and node.args:
-                    parts = expanded.split(".")
-                    if parts[0] == "numpy":
-                        name = parts[-1]
-                        inner = self._buffer_provenance(node.args[0])
-                        if inner is None:
-                            return None
-                        if name in _VIEW_FUNCS:
-                            return (inner[0], _combine_kind(inner[1], "view"))
-                        if name in _COPY_FUNCS:
-                            return (inner[0], "copy")
-            return None
-        return None
-
-    def _aliasing_args(self, call: ast.Call) -> tuple[tuple[str, str], ...]:
-        """Aliasing ``(root, kind)`` pairs among a call's arguments."""
-        out: list[tuple[str, str]] = []
-        for arg in [*call.args, *[k.value for k in call.keywords]]:
-            prov = self._buffer_provenance(arg)
-            if prov is not None and prov[1] != "copy":
-                out.append(prov)
-        return tuple(out)
-
-    def _record_escapes(self, value: ast.expr, *, via: str, line: int) -> None:
-        """Escape facts for storing ``value`` beyond the current frame."""
-        prov = self._buffer_provenance(value)
-        if prov is not None and prov[1] != "copy":
-            self.buffer_escapes.append(
-                BufferEscape(root=prov[0], kind=prov[1], via=via, line=line)
-            )
-        if isinstance(value, ast.Name):
-            for root, kind in self.captures.get(value.id, ()):
-                self.buffer_escapes.append(
-                    BufferEscape(root=root, kind=kind, via=via, line=line)
-                )
-        elif isinstance(value, (ast.Tuple, ast.List)):
-            for elt in value.elts:
-                self._record_escapes(elt, via=via, line=line)
-
     # -- statement-order dataflow --------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self._track_assignment(node.targets, node.value)
-        self._check_store_targets(node.targets, node.lineno, node.value)
+        self._check_store_targets(node.targets, node.lineno)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -633,7 +440,7 @@ class _FunctionScanner(ast.NodeVisitor):
                 refs = _annotation_classes(node.annotation)
                 if refs:
                     self.var_types[node.target.id] = refs
-            self._check_store_targets([node.target], node.lineno, node.value)
+            self._check_store_targets([node.target], node.lineno)
         self.generic_visit(node)
 
     def _track_assignment(self, targets: list[ast.expr], value: ast.expr) -> None:
@@ -654,12 +461,7 @@ class _FunctionScanner(ast.NodeVisitor):
             )
             if expanded is not None and expanded.split(".")[-1] == "ProcessPoolExecutor":
                 self.pool_names.add(name)
-            prov = self._buffer_provenance(value)
-            if prov is not None:
-                self.buf_prov[name] = prov
-            else:
-                self.buf_prov.pop(name, None)
-            # `x = Ctor(...) if cond else None` still types/captures x
+            # `x = Ctor(...) if cond else None` still types x
             ctor_value = value
             if isinstance(value, ast.IfExp):
                 for branch in (value.body, value.orelse):
@@ -670,24 +472,14 @@ class _FunctionScanner(ast.NodeVisitor):
                 ctor = _dotted_name(ctor_value.func)
                 if ctor is not None and ctor.split(".")[-1][:1].isupper():
                     self.var_types[name] = (ctor,)
-                    captured = self._aliasing_args(ctor_value)
-                    if captured:
-                        self.captures[name] = captured
-                    else:
-                        self.captures.pop(name, None)
                 else:
                     self.var_types.pop(name, None)
-                    self.captures.pop(name, None)
             elif not isinstance(value, ast.Name):
                 self.var_types.pop(name, None)
-                self.captures.pop(name, None)
 
-    def _check_store_targets(
-        self, targets: list[ast.expr], line: int, value: ast.expr | None = None
-    ) -> None:
+    def _check_store_targets(self, targets: list[ast.expr], line: int) -> None:
         """Item/attribute stores and rebinds that hit module-global state."""
         for target in targets:
-            self._record_buffer_store(target, line, value)
             for sub in ast.walk(target):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
                     if sub.id in self.declared_globals:
@@ -717,78 +509,6 @@ class _FunctionScanner(ast.NodeVisitor):
                         )
                     else:
                         self._record_attr_write(sub, line)
-
-    def _record_buffer_store(
-        self, target: ast.expr, line: int, value: ast.expr | None
-    ) -> None:
-        """Buffer-provenance facts of one store target (flow v3): in-place
-        writes into tracked buffers, reference escapes into containers and
-        attributes, and reallocation points (``self.ATTR`` rebound to a
-        fresh array outside ``__init__``)."""
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._record_buffer_store(elt, line, None)
-            return
-        if isinstance(target, ast.Name):
-            if value is None:  # for-loop / unpacking target: provenance gone
-                self.buf_prov.pop(target.id, None)
-                self.captures.pop(target.id, None)
-            return
-        if isinstance(target, ast.Subscript):
-            base = self._buffer_provenance(target.value)
-            if base is not None and base[1] != "copy":
-                self.buffer_writes.append(
-                    BufferWrite(target=base[0], line=line, kind="index")
-                )
-                # keyed stores hold a reference (container semantics); slice
-                # stores copy element-wise (array semantics) and do not
-                if value is not None and not _is_pure_slice(target.slice):
-                    self._record_escapes(value, via="container", line=line)
-            return
-        if not isinstance(target, ast.Attribute):
-            return
-        chain = _chain_root(target)
-        if chain is None:
-            return
-        root, path = chain
-        if "[]" in path.split("."):
-            return
-        if root in ("self", "cls"):
-            via = f"self.{path}"
-        elif root in self.var_types and root in self.local_bindings:
-            via = f"typed:{self.var_types[root][0]}.{path}"
-        else:
-            entry = self.buf_prov.get(root)
-            if (
-                entry is not None
-                and entry[1] == "base"
-                and not entry[0].startswith("param:")
-            ):
-                via = f"{entry[0]}.{path}"
-            else:
-                return
-        if value is None:
-            return
-        value_prov = self._buffer_provenance(value)
-        if value_prov == (via, "base"):
-            return  # writing a value back into its own slot: no new aliasing
-        self._record_escapes(value, via=via, line=line)
-        if root not in ("self", "cls") or "." in path:
-            return
-        attr = path
-        is_array_value = False
-        if isinstance(value, ast.Call):
-            ctor = _dotted_name(value.func)
-            if ctor is not None and ctor.split(".")[-1][:1].isupper():
-                self.self_attr_ctors.setdefault(attr, ctor)
-            expanded = self._expanded(value.func)
-            if expanded is not None and expanded.split(".")[0] == "numpy":
-                self.self_array_attrs.add(attr)
-                is_array_value = True
-        if self._buffer_provenance(value) is not None:
-            is_array_value = True
-        if is_array_value and not self.qualname.endswith("__init__"):
-            self.buffer_rebinds.append(BufferRebind(attr=attr, line=line))
 
     def _record_attr_write(self, node: ast.expr, line: int, suffix: str = "") -> None:
         """Attribute-level mutation tracking (flow v2): resolve the chain's
@@ -825,35 +545,6 @@ class _FunctionScanner(ast.NodeVisitor):
     def visit_Raise(self, node: ast.Raise) -> None:
         self.raises.append(node.lineno)
         self.generic_visit(node)
-
-    def visit_Return(self, node: ast.Return) -> None:
-        if node.value is not None:
-            self._record_returns(node.value, node.lineno)
-        self.generic_visit(node)
-
-    def _record_returns(self, value: ast.expr, line: int) -> None:
-        """Borrow facts: what a caller of this function ends up holding."""
-        prov = self._buffer_provenance(value)
-        if prov is not None and prov[1] != "copy":
-            self.buffer_returns.append(
-                BufferReturn(root=prov[0], kind=prov[1], line=line)
-            )
-        if isinstance(value, ast.Name):
-            for root, kind in self.captures.get(value.id, ()):
-                self.buffer_returns.append(
-                    BufferReturn(root=root, kind=kind, line=line)
-                )
-        elif isinstance(value, (ast.Tuple, ast.List)):
-            for elt in value.elts:
-                self._record_returns(elt, line)
-        elif isinstance(value, ast.Call):
-            # returning a freshly built object hands out its captured aliases
-            ctor = _dotted_name(value.func)
-            if ctor is not None and ctor.split(".")[-1][:1].isupper():
-                for root, kind in self._aliasing_args(value):
-                    self.buffer_returns.append(
-                        BufferReturn(root=root, kind=kind, line=line)
-                    )
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         target = node.target
@@ -930,140 +621,19 @@ class _FunctionScanner(ast.NodeVisitor):
                 self._record_attr_write(
                     base, node.lineno, suffix=f"{node.func.attr}()"
                 )
-        self._record_call_buffers(node, dotted)
         self.generic_visit(node)
 
-    def _record_call_buffers(self, node: ast.Call, dotted: str | None) -> None:
-        """Buffer-provenance facts at one call site (flow v3)."""
-        line = node.lineno
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "setattr" and node.args:
-            if isinstance(node.args[0], ast.Name) and node.args[0].id == "self":
-                name = node.args[1] if len(node.args) > 1 else None
-                attr = (
-                    name.value
-                    if isinstance(name, ast.Constant) and isinstance(name.value, str)
-                    else "*"
-                )
-                self.buffer_rebinds.append(BufferRebind(attr=attr, line=line))
-                if len(node.args) > 2:
-                    self._record_escapes(
-                        node.args[2], via=f"self.{attr}", line=line
-                    )
-            return
-        if isinstance(func, ast.Attribute):
-            base_prov = self._buffer_provenance(func.value)
-            if base_prov is not None and base_prov[1] != "copy":
-                base_root = base_prov[0]
-                if func.attr in _ARRAY_MUTATORS:
-                    self.buffer_writes.append(
-                        BufferWrite(target=base_root, line=line, kind="method")
-                    )
-                elif func.attr == "resize":
-                    if base_root.startswith("self.") and (
-                        "." not in base_root[len("self."):]
-                    ):
-                        self.buffer_rebinds.append(
-                            BufferRebind(attr=base_root[len("self."):], line=line)
-                        )
-                elif func.attr in _MUTATING_METHODS and not base_root.startswith(
-                    "param:"
-                ):
-                    self.buffer_writes.append(
-                        BufferWrite(target=base_root, line=line, kind="method")
-                    )
-                    if func.attr in _STORING_METHODS:
-                        for arg in node.args:
-                            self._record_escapes(arg, via="container", line=line)
-        out_kw = next((k for k in node.keywords if k.arg == "out"), None)
-        if out_kw is not None:
-            out_prov = self._buffer_provenance(out_kw.value)
-            if out_prov is not None and out_prov[1] != "copy":
-                self.buffer_writes.append(
-                    BufferWrite(target=out_prov[0], line=line, kind="out")
-                )
-                # an input that is *textually* the out= expression is the
-                # file-local ABG314's case; record only distinct expressions
-                out_dump = ast.dump(out_kw.value)
-                inputs = [
-                    prov[0]
-                    for arg in node.args
-                    if ast.dump(arg) != out_dump
-                    and (prov := self._buffer_provenance(arg)) is not None
-                    and prov[1] != "copy"
-                ]
-                if inputs:
-                    self.out_calls.append(
-                        OutCall(
-                            out_root=out_prov[0],
-                            out_kind=out_prov[1],
-                            inputs=",".join(inputs),
-                            line=line,
-                        )
-                    )
-        if dotted is None:
-            return
-        expanded = self._expand(dotted)
-        if expanded.split(".")[0] in ("numpy", "math", "builtins"):
-            return
-        # rewrite `obj.meth` to `Cls.meth` when obj's class is known, the
-        # same typed-call trick the CallSite edges use — the provenance pass
-        # resolves callees by name only
-        head, _, rest = dotted.partition(".")
-        if rest and "." not in rest and head in self.var_types:
-            dotted = f"{self.var_types[head][0]}.{rest}"
-        args_enc = tuple(
-            f"{prov[0]}@{prov[1]}"
-            if (prov := self._buffer_provenance(arg)) is not None
-            and prov[1] != "copy"
-            else ""
-            for arg in node.args
-        )
-        kwargs_enc = tuple(
-            f"{k.arg}={prov[0]}@{prov[1]}"
-            for k in node.keywords
-            if k.arg is not None
-            and (prov := self._buffer_provenance(k.value)) is not None
-            and prov[1] != "copy"
-        )
-        if any(args_enc) or kwargs_enc:
-            self.call_buffers.append(
-                CallArgBuffers(
-                    callee=dotted, line=line, args=args_enc, kwargs=kwargs_enc
-                )
-            )
-
     def _check_rng(self, node: ast.Call, expanded: str) -> None:
-        if expanded == "numpy.random.default_rng":
-            if not node.args and not node.keywords:
-                self.rng_uses.append(
-                    RngUse(line=node.lineno, kind="seedless", detail="default_rng()")
-                )
-            else:
-                seed_exprs = [*node.args, *[k.value for k in node.keywords]]
-                if not all(self._deterministic(e) for e in seed_exprs):
-                    self.rng_uses.append(
-                        RngUse(
-                            line=node.lineno,
-                            kind="unseeded-seed",
-                            detail="seed expression not derived from a seed "
-                            "parameter or module constant",
-                        )
-                    )
+        if expanded != "numpy.random.default_rng":
             return
-        parts = expanded.split(".")
-        if (
-            len(parts) >= 3
-            and parts[0] == "numpy"
-            and parts[1] == "random"
-            and parts[2] not in _SAFE_NP_RANDOM
-        ):
+        seed_exprs = [*node.args, *[k.value for k in node.keywords]]
+        if not all(self._deterministic(e) for e in seed_exprs):
             self.rng_uses.append(
-                RngUse(line=node.lineno, kind="ambient", detail=expanded)
-            )
-        elif parts[0] == "random" and len(parts) > 1:
-            self.rng_uses.append(
-                RngUse(line=node.lineno, kind="ambient", detail=expanded)
+                RngUse(
+                    line=node.lineno,
+                    detail="seed expression not derived from a seed "
+                    "parameter or module constant",
+                )
             )
 
     def _payload_expr(self, node: ast.expr) -> ast.expr:
@@ -1129,21 +699,6 @@ class _FunctionScanner(ast.NodeVisitor):
                         )
                     )
 
-    # don't descend into nested defs twice for defaults
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if node is not self.node:
-            self._check_defaults(node.args)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        if node is not self.node:
-            self._check_defaults(node.args)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node.args)
-        self.generic_visit(node)
-
     def summary(self) -> FunctionSummary:
         self.visit(self.node)
         is_property = any(
@@ -1162,16 +717,9 @@ class _FunctionScanner(ast.NodeVisitor):
             rng_uses=tuple(self.rng_uses),
             set_iterations=tuple(self.set_iterations),
             payload_risks=tuple(self.payload_risks),
-            mutable_defaults=tuple(self.mutable_defaults),
             dispatches=tuple(self.dispatches),
             attr_writes=tuple(self.attr_writes),
             raises=tuple(self.raises),
-            buffer_writes=tuple(self.buffer_writes),
-            buffer_rebinds=tuple(self.buffer_rebinds),
-            buffer_escapes=tuple(self.buffer_escapes),
-            buffer_returns=tuple(self.buffer_returns),
-            out_calls=tuple(self.out_calls),
-            call_buffers=tuple(self.call_buffers),
         )
 
 
@@ -1255,40 +803,25 @@ def summarize_module(source: str, path: str, module: str | None = None) -> Modul
     info.classes = classes
     info.class_attrs = class_attrs
 
-    def _scan(
-        node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
-    ) -> _FunctionScanner:
-        scanner = _FunctionScanner(info, qualname, node)
-        info.functions[qualname] = scanner.summary()
-        return scanner
+    def _scan(node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str) -> None:
+        info.functions[qualname] = _FunctionScanner(info, qualname, node).summary()
 
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _scan(stmt, stmt.name)
         elif isinstance(stmt, ast.ClassDef):
-            ctors: dict[str, str] = {}
-            arrays: list[str] = []
             for sub in stmt.body:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{stmt.name}.{sub.name}"
                     # a property setter/deleter shares the getter's dotted
                     # name; key it separately so the getter's summary (and
-                    # its borrow facts) survives the collision
+                    # its call edges) survives the collision
                     if any(
                         isinstance(dec, ast.Attribute)
                         and dec.attr in ("setter", "deleter")
                         for dec in sub.decorator_list
                     ):
                         qualname = f"{qualname}.setter"
-                    scanner = _scan(sub, qualname)
-                    for attr, ctor in scanner.self_attr_ctors.items():
-                        ctors.setdefault(attr, ctor)
-                    for attr in sorted(scanner.self_array_attrs):
-                        if attr not in arrays:
-                            arrays.append(attr)
-            if ctors:
-                info.attr_ctors[stmt.name] = ctors
-            if arrays:
-                info.array_attrs[stmt.name] = tuple(arrays)
+                    _scan(sub, qualname)
 
     return info

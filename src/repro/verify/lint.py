@@ -6,8 +6,9 @@ this codebase (see CONTRIBUTING.md "Ground rules"):
 ``ABG101`` **unseeded randomness** — the ``random`` stdlib module and the
 legacy ``numpy.random.<fn>()`` global-state functions are banned inside
 ``src/repro``; every source of randomness must be an explicitly passed
-``numpy.random.Generator`` (``default_rng(seed)`` construction is allowed).
-Global random state silently breaks bit-for-bit reproducibility.
+``numpy.random.Generator`` (``default_rng(seed)`` construction is allowed,
+a seedless ``default_rng()`` is not).  Global random state and OS entropy
+silently break bit-for-bit reproducibility, in a pool worker as anywhere.
 
 ``ABG102`` **float equality** — ``==`` / ``!=`` against a float literal.
 Controller states and spans are accumulated floats; exact comparison is a
@@ -15,7 +16,8 @@ latent flake.  Compare against a tolerance, or suppress with ``# noqa:
 ABG102`` where exactness is structural (e.g. a value assigned verbatim).
 
 ``ABG103`` **mutable default argument** — list/dict/set displays or
-constructor calls as parameter defaults alias state across calls.
+constructor calls (bare or dotted, e.g. ``collections.deque()``) as
+parameter defaults alias state across calls.
 
 ``ABG104`` **set-order iteration** — ``for`` loops (and sorted-less
 comprehensions) iterating a set display or ``set(...)`` call directly.
@@ -74,6 +76,17 @@ _MUTABLE_CONSTRUCTORS = frozenset(
 )
 
 
+def _callee_tail(func: ast.expr) -> str | None:
+    """Last segment of a pure ``a.b.c`` callee chain (``deque`` for
+    ``collections.deque``), ``None`` for computed callees."""
+    node = func
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return func.attr if isinstance(func, ast.Attribute) else node.id
+
+
 class _Linter(ast.NodeVisitor):
     def __init__(self, path: str, source: str):
         self.path = path
@@ -82,6 +95,8 @@ class _Linter(ast.NodeVisitor):
         self._np_aliases: set[str] = set()
         self._np_random_aliases: set[str] = set()
         self._random_module_aliases: set[str] = set()
+        #: names bound to ``numpy.random.default_rng`` by a from-import
+        self._default_rng_names: set[str] = set()
 
     # -- helpers ------------------------------------------------------------
 
@@ -114,11 +129,12 @@ class _Linter(ast.NodeVisitor):
                     "numpy.random.Generator instead",
                 )
             elif alias.name in ("numpy", "numpy.random"):
-                target = alias.asname or alias.name.split(".")[0]
-                if alias.name == "numpy.random":
-                    self._np_random_aliases.add(alias.asname or "numpy")
+                # `import numpy.random` binds `numpy`; only an `as` name
+                # binds the `numpy.random` submodule itself
+                if alias.name == "numpy.random" and alias.asname:
+                    self._np_random_aliases.add(alias.asname)
                 else:
-                    self._np_aliases.add(target)
+                    self._np_aliases.add(alias.asname or "numpy")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -131,6 +147,8 @@ class _Linter(ast.NodeVisitor):
             )
         elif node.module == "numpy.random":
             for alias in node.names:
+                if alias.name == "default_rng":
+                    self._default_rng_names.add(alias.asname or alias.name)
                 if alias.name not in _ALLOWED_NP_RANDOM:
                     self._emit(
                         node,
@@ -179,6 +197,21 @@ class _Linter(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        is_default_rng = (
+            isinstance(func, ast.Attribute) and self._np_random_attr(func) == "default_rng"
+        ) or (isinstance(func, ast.Name) and func.id in self._default_rng_names)
+        if is_default_rng and not node.args and not node.keywords:
+            self._emit(
+                node,
+                "ABG101",
+                "default_rng() without a seed draws OS entropy, so every run "
+                "(and every pool worker) gets a different stream; derive it "
+                "from a seed (e.g. default_rng([seed, key]))",
+            )
+        self.generic_visit(node)
+
     # -- ABG102: float equality ---------------------------------------------
 
     @staticmethod
@@ -216,13 +249,8 @@ class _Linter(ast.NodeVisitor):
                 continue
             bad = isinstance(default, (ast.List, ast.Dict, ast.Set, ast.ListComp,
                                        ast.DictComp, ast.SetComp))
-            if (
-                not bad
-                and isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in _MUTABLE_CONSTRUCTORS
-            ):
-                bad = True
+            if not bad and isinstance(default, ast.Call):
+                bad = _callee_tail(default.func) in _MUTABLE_CONSTRUCTORS
             if bad:
                 self._emit(
                     default,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.allocators.availability import TraceAvailability
@@ -62,12 +62,15 @@ class TestSingleJobInvariants:
         # transition factor well-defined
         assert trace.measured_transition_factor() >= 1.0
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         phases_strategy,
         policy_strategy,
         st.integers(5, 40),
         st.floats(min_value=0.0, max_value=10.0),
+    )
+    @example(
+        phases=[(1, 7), (9, 34), (1, 26), (2, 5)], policy=AControl(0.0), L=25, cost=0.25
     )
     def test_overhead_invariants(self, phases, policy, L, cost):
         job = PhasedJob(phases)
@@ -79,8 +82,16 @@ class TestSingleJobInvariants:
             overhead=ReallocationOverhead(per_processor=cost),
         )
         assert trace.total_work == job.work
-        baseline = simulate_job(job, policy, 16, quantum_length=L)
-        assert trace.running_time >= baseline.running_time
+        # Overhead changes the feedback trajectory, so it can also shorten
+        # a run (the pinned example takes 109 steps against 110 without
+        # overhead); only the model's lower bounds hold.
+        assert trace.running_time >= job.span
+        assert trace.running_time >= job.work / 16
+        # Greedy non-idling: a quantum that keeps the previous allotment
+        # pays no reallocation overhead, so every step does work.
+        for prev, rec in zip(trace.records, trace.records[1:]):
+            if rec.allotment == prev.allotment:
+                assert rec.work >= rec.steps
 
 
 class TestJobSetInvariants:

@@ -30,7 +30,6 @@ from repro.sim.multi_batched import MultiBatchKernel, segment_profile
 from repro.sim.superstep import (
     QuantumLog,
     SuperstepArena,
-    SupersetArena,
     pure_quantum_counts,
 )
 
@@ -331,9 +330,6 @@ class TestAdvanceRequestBatch:
 
 
 class TestSuperstepArena:
-    def test_issue_spelling_alias(self):
-        assert SupersetArena is SuperstepArena
-
     @pytest.mark.parametrize("seed", range(6))
     def test_random_admit_remove_matches_reference(self, seed):
         """The packed arena mirrors a plain python list-of-rows reference

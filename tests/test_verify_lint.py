@@ -2,17 +2,25 @@
 
 Each rule must fire on a minimal synthetic source, stay quiet on the
 idiomatic alternative, and honor ``# noqa`` suppression; the shipped source
-tree must lint clean.
+tree must lint clean.  The rule catalogue behind ``lint --explain`` is
+pinned here to the rule registry and to docs/STATIC_ANALYSIS.md.
 """
 
 from __future__ import annotations
 
+import re
 import textwrap
 from pathlib import Path
 
+import pytest
+
+from repro.cli import main as cli_main
+from repro.verify.catalogue import CATALOGUE, explain
+from repro.verify.findings import RULES
 from repro.verify.lint import check_source, lint_paths, main
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+DOC_PATH = REPO_SRC.parent.parent / "docs" / "STATIC_ANALYSIS.md"
 
 
 def codes(source: str) -> list[str]:
@@ -27,16 +35,60 @@ class TestUnseededRandomness:
     def test_stdlib_random_call_flagged(self):
         found = codes("import random\nx = random.random()\n")
         assert found.count("ABG101") >= 2  # the import and the call
+        assert codes(
+            """\
+            import random
+
+            def worker(x):
+                return random.random()
+            """
+        ) == ["ABG101", "ABG101"]
 
     def test_numpy_global_state_flagged(self):
         assert "ABG101" in codes("import numpy as np\nnp.random.seed(3)\n")
         assert "ABG101" in codes("import numpy\nnumpy.random.rand(4)\n")
         assert "ABG101" in codes("from numpy.random import rand\n")
+        assert codes("import numpy.random\nx = numpy.random.rand()\n") == ["ABG101"]
+        assert codes(
+            """\
+            import numpy as np
+
+            def worker(x):
+                return np.random.rand()
+            """
+        ) == ["ABG101"]
+
+    def test_seedless_default_rng_flagged(self):
+        assert codes("import numpy as np\nrng = np.random.default_rng()\n") == ["ABG101"]
+        assert codes("import numpy\nrng = numpy.random.default_rng()\n") == ["ABG101"]
+        assert codes("import numpy.random\nrng = numpy.random.default_rng()\n") == ["ABG101"]
+        assert codes("import numpy.random as npr\nrng = npr.default_rng()\n") == ["ABG101"]
+        assert codes("from numpy import random as r\nrng = r.default_rng()\n") == ["ABG101"]
+        assert codes(
+            "from numpy.random import default_rng as mk\nrng = mk()\n"
+        ) == ["ABG101"]
+        # function-local imports, as worker functions and methods write them
+        assert codes(
+            """\
+            def worker(x):
+                import numpy as np
+                rng = np.random.default_rng()
+                return rng.random()
+
+            class Noisy:
+                def step(self, x):
+                    from numpy.random import default_rng
+                    return default_rng().random()
+            """
+        ) == ["ABG101", "ABG101"]
 
     def test_seeded_generator_allowed(self):
         assert codes("import numpy as np\nrng = np.random.default_rng(0)\n") == []
         assert codes("from numpy.random import Generator, default_rng\n") == []
         assert codes("import numpy as np\nx = rng.integers(0, 5)\n") == []
+        assert codes(
+            "from numpy.random import default_rng\nrng = default_rng([seed, key])\n"
+        ) == []
 
 
 class TestFloatEquality:
@@ -57,9 +109,23 @@ class TestMutableDefaults:
         assert "ABG103" in codes("def f(m={}):\n    pass\n")
         assert "ABG103" in codes("def f(*, s=set()):\n    pass\n")
         assert "ABG103" in codes("g = lambda xs=list(): xs\n")
+        assert codes("def worker(x, acc=[]):\n    return x\n") == ["ABG103"]
+
+    def test_dotted_constructor_defaults_flagged(self):
+        assert codes(
+            "import collections\ndef f(q=collections.deque()):\n    pass\n"
+        ) == ["ABG103"]
+        assert codes(
+            "import collections\n"
+            "def f(*, d=collections.defaultdict(list)):\n    pass\n"
+        ) == ["ABG103"]
+        assert codes(
+            "import collections as c\ng = lambda acc=c.OrderedDict(): acc\n"
+        ) == ["ABG103"]
 
     def test_immutable_defaults_allowed(self):
         assert codes("def f(xs=None, n=3, t=()):\n    pass\n") == []
+        assert codes("def f(s=frozenset(), k=types.MappingProxyType({})):\n    pass\n") == []
 
 
 class TestSetOrderIteration:
@@ -130,3 +196,41 @@ class TestTreeAndRunner:
         bad.write_text("def f(:\n")
         findings = lint_paths([bad])
         assert findings and findings[0].path == str(bad)
+
+
+class TestCatalogue:
+    def test_registry_covers_every_rule(self):
+        assert set(CATALOGUE) == set(RULES)
+
+    def test_descriptions_track_the_rule_registry(self):
+        for code, entry in CATALOGUE.items():
+            assert entry.description == RULES[code][1]
+            assert entry.hazard and entry.example and entry.suppression
+
+    def test_doc_mentions_every_code(self):
+        text = DOC_PATH.read_text()
+        for code in RULES:
+            assert code in text, f"{code} missing from docs/STATIC_ANALYSIS.md"
+
+    def test_doc_mentions_no_unregistered_code(self):
+        # retired rules leave the catalogue document with the registry
+        documented = set(re.findall(r"ABG\d{3}", DOC_PATH.read_text()))
+        assert documented <= set(RULES), sorted(documented - set(RULES))
+
+    def test_explain_formats_an_entry(self):
+        text = explain("ABG314")
+        assert text is not None
+        assert "ABG314" in text and "out=" in text
+        assert "abg: allow[ABG314]" in text
+
+    def test_explain_unknown_code_is_none(self):
+        assert explain("ABG999") is None
+
+    def test_explain_cli(self, capsys):
+        assert cli_main(["lint", "--explain", "abg314"]) == 0
+        out = capsys.readouterr().out
+        assert "ABG314" in out and "Suppression guidance" in out
+
+    def test_explain_cli_unknown_code_fails(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["lint", "--explain", "ABG999"])
