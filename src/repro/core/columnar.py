@@ -1,53 +1,50 @@
-"""Columnar backing store for :class:`~repro.core.types.JobTrace`.
+"""The storage of a :class:`~repro.core.types.JobTrace`: one array per field.
 
-The batched simulation kernel (:mod:`repro.sim.multi_batched`) computes every
-quantum's measurements as aligned numpy arrays.  Materializing a
-:class:`~repro.core.types.QuantumRecord` per job-quantum just to sum a few
-fields afterwards is what bounded full-scale fig6; instead the kernel hands
-each finished job a :class:`TraceColumns` — one array per record field — and
-the trace answers its aggregates straight from the arrays, building the
-identical record objects only if someone actually iterates them.
+Every trace keeps its quanta as a :class:`TraceColumns` — one aligned array
+per :class:`~repro.core.types.QuantumRecord` field — and answers every
+aggregate (running time, work, waste, the series) straight from the
+arrays.  Producers build the columns once:
 
-Bit-identity contract
----------------------
-Every value in the columns is exactly the value the per-record path would
-have stored (the kernel emits the same arrays either way), and every
-aggregate here replays the per-record computation's arithmetic:
+- the batched simulation kernel's
+  :class:`~repro.sim.superstep.QuantumLog` slices them out of one run-wide
+  table at the end of a run;
+- the single-job loop, the multiprogrammed reference loop and trace loading
+  collect validated records and end with :meth:`TraceColumns.from_records`.
 
-- integer reductions (steps, work, waste) are exact in int64, so numpy sums
-  equal the python sums;
-- the float reduction ``total_span`` iterates python floats left to right —
-  the same IEEE-754 addition order as ``sum(r.span for r in records)`` —
-  rather than numpy's pairwise summation, which is faster but rounds
-  differently;
-- per-row derived values (``avg_parallelism``) repeat the record property's
-  python-scalar arithmetic.
+Record objects exist only for the consumers that iterate them
+(:attr:`~repro.core.types.JobTrace.records`); :meth:`TraceColumns.build_records`
+makes them through :func:`~repro.core.types.quantum_records_from_columns`,
+which re-checks every invariant the scalar constructor enforces.
 
-``build_records`` routes through
-:func:`~repro.core.types.quantum_records_from_columns`, so materialized
-records re-validate the same invariants the scalar constructor enforces.
+``quantum_length`` is a 0-d array when every quantum has the same ``L`` —
+always, for the kernel's traces — and one value per row only when the
+lengths vary (:class:`~repro.core.quantum_policy.AdaptiveQuantumLength`).
+It is used by broadcasting, so a fixed-``L`` trace stores it once.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+from typing import Any, Iterator, Sequence
+
 import numpy as np
 
-from .types import QuantumRecord, quantum_records_from_columns
+from .types import QuantumRecord, quantum_records_from_columns, quantum_rows
 
 __all__ = ["TraceColumns"]
+
 
 
 class TraceColumns:
     """One job's whole per-quantum history as aligned columns.
 
     ``index`` and ``start_step`` are per-row (a job's quanta are contiguous
-    but start at job-specific absolute steps); ``quantum_length`` is the
-    machine-wide constant ``L``.  The arrays may be views into a larger
-    simulation-wide buffer — they are never mutated after construction.
+    but start at job-specific absolute steps).  The arrays may be views into
+    a larger simulation-wide buffer — they are never mutated after
+    construction.
     """
 
     __slots__ = (
-        "quantum_length",
         "index",
         "request",
         "request_int",
@@ -56,13 +53,13 @@ class TraceColumns:
         "work",
         "span",
         "steps",
+        "quantum_length",
         "start_step",
     )
 
     def __init__(
         self,
         *,
-        quantum_length: int,
         index: np.ndarray,
         request: np.ndarray,
         request_int: np.ndarray,
@@ -71,9 +68,9 @@ class TraceColumns:
         work: np.ndarray,
         span: np.ndarray,
         steps: np.ndarray,
+        quantum_length: np.ndarray,
         start_step: np.ndarray,
     ) -> None:
-        self.quantum_length = quantum_length
         self.index = index
         self.request = request
         self.request_int = request_int
@@ -82,77 +79,67 @@ class TraceColumns:
         self.work = work
         self.span = span
         self.steps = steps
+        self.quantum_length = quantum_length
         self.start_step = start_step
+
+    @classmethod
+    def from_records(cls, records: Sequence[QuantumRecord]) -> TraceColumns:
+        """The columns of ``records``, which must run ``1, 2, 3, ...``: the
+        first quantum record has index 1, and each next one follows its
+        predecessor."""
+        n = len(records)
+        # One pass over the records into one row table; the columns are
+        # views of its fields.
+        table = np.fromiter(map(_row_values, records), dtype=_ROW, count=n)
+        index = table["index"].tolist()
+        if index != list(range(1, n + 1)):
+            raise ValueError(
+                "first quantum record must have index 1"
+                if index[0] != 1
+                else "quantum records must be appended in order"
+            )
+        cols = {name: table[name] for name in cls.__slots__}
+        lengths = cols["quantum_length"]
+        if len(set(lengths.tolist())) == 1:
+            cols["quantum_length"] = np.array(lengths[0], dtype=np.int64)
+        return cls(**cols)
 
     def __len__(self) -> int:
         return int(self.index.size)
 
-    # ------------------------------------------------------------------
-    # Aggregates (the values JobTrace computes from its record list)
-    # ------------------------------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        """Row-for-row value equality, as comparing the records would be."""
+        if not isinstance(other, TraceColumns):
+            return NotImplemented
+        shape = self.index.shape
+        return shape == other.index.shape and all(
+            np.array_equal(
+                np.broadcast_to(getattr(self, name), shape),
+                np.broadcast_to(getattr(other, name), shape),
+            )
+            for name in self.__slots__
+        )
 
-    def total_steps(self) -> int:
-        return int(self.steps.sum())
+    def _fields(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self.__slots__}
 
-    def total_work(self) -> int:
-        return int(self.work.sum())
-
-    def total_span(self) -> float:
-        # Left-to-right python-float addition, matching
-        # ``sum(r.span for r in records)`` bit for bit (numpy's pairwise
-        # summation would not).
-        total = 0.0
-        for value in self.span.tolist():
-            total += value
-        return total
-
-    def total_waste(self) -> int:
-        return int((self.allotment * self.steps - self.work).sum())
-
-    def allotted_steps(self) -> int:
-        """``sum(a(q) * steps(q))`` — the numerator of ``avg_allotment``."""
-        return int((self.allotment * self.steps).sum())
-
-    def first_start(self) -> int:
-        return int(self.start_step[0])
-
-    def request_series(self) -> list[float]:
-        result: list[float] = self.request.tolist()
-        return result
-
-    def allotment_series(self) -> list[int]:
-        result: list[int] = self.allotment.tolist()
-        return result
-
-    def avg_parallelism_series(self, *, full_only: bool) -> list[float]:
-        if full_only:
-            mask = self.steps == self.quantum_length
-            work = self.work[mask]
-            span = self.span[mask]
-        else:
-            work = self.work
-            span = self.span
-        # Python-scalar division per row, as QuantumRecord.avg_parallelism
-        # computes it (int / float), with the same empty-quantum zero.
-        return [
-            0.0 if tinf == 0 else t1 / tinf
-            for t1, tinf in zip(work.tolist(), span.tolist())
-        ]
-
-    # ------------------------------------------------------------------
+    def rows(self) -> Iterator[tuple[Any, ...]]:
+        """Each quantum's fields as python scalars in record field order,
+        unvalidated — the stored values as they are, for the auditor."""
+        return quantum_rows(**self._fields())
 
     def build_records(self) -> list[QuantumRecord]:
-        """Materialize the identical record list the per-record path would
-        have appended (vectorized validation, trusted construction)."""
-        return quantum_records_from_columns(
-            index=self.index.tolist(),
-            request=self.request,
-            request_int=self.request_int,
-            available=self.available,
-            allotment=self.allotment,
-            work=self.work,
-            span=self.span,
-            steps=self.steps,
-            quantum_length=self.quantum_length,
-            start_step=self.start_step.tolist(),
-        )
+        """The identical records, every row validated."""
+        return quantum_records_from_columns(**self._fields())
+
+
+_row_values = attrgetter(*TraceColumns.__slots__)
+"""A record's fields in column order (the slots follow the record's fields)."""
+
+_ROW = np.dtype(
+    [
+        (name, np.float64 if name in ("request", "span") else np.int64)
+        for name in TraceColumns.__slots__
+    ]
+)
+"""One quantum as a row of :meth:`TraceColumns.from_records`'s table."""

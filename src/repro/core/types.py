@@ -21,21 +21,23 @@ Conventions (matching the paper's notation):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-if TYPE_CHECKING:  # annotation-only: keep numpy off this module's import path
-    import numpy as np
+import numpy as np
 
+if TYPE_CHECKING:  # the columnar module imports this one
     from .columnar import TraceColumns
 
 __all__ = [
     "MAX_REQUEST",
     "QuantumRecord",
     "JobTrace",
+    "check_quantum_columns",
     "integer_request",
     "quantum_records_from_columns",
+    "quantum_rows",
     "transition_factor_of_series",
 ]
 
@@ -172,54 +174,47 @@ class QuantumRecord:
         return self.work_efficiency
 
 
-_RECORD_SETTERS = tuple(
-    QuantumRecord.__dict__[name].__set__
-    for name in (
-        "index",
-        "request",
-        "request_int",
-        "available",
-        "allotment",
-        "work",
-        "span",
-        "steps",
-        "quantum_length",
-        "start_step",
-    )
-)
+_FIELDS = tuple(f.name for f in fields(QuantumRecord))
+"""Record field names in constructor order (also :class:`TraceColumns`'s)."""
+
+_RECORD_SETTERS = tuple(QuantumRecord.__dict__[name].__set__ for name in _FIELDS)
 """Direct slot-descriptor writers, bound once — the trusted batch
 constructor's way around the frozen dataclass's per-field
 ``object.__setattr__`` calls."""
 
 
-def quantum_records_from_columns(
+def _per_row(values: Any) -> Iterable[Any]:
+    """One python scalar per row: an ``int`` or 0-d array repeats, an array
+    is listed, and a list is used as it is."""
+    if np.ndim(values) == 0:
+        return repeat(int(values))
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def quantum_rows(**columns: Any) -> Iterator[tuple[Any, ...]]:
+    """The rows of aligned record columns as python-scalar tuples in
+    :class:`QuantumRecord` field order, unvalidated.  ``quantum_length`` and
+    ``start_step`` may be scalars (or 0-d arrays) shared by every row."""
+    return zip(*(_per_row(columns[name]) for name in _FIELDS))
+
+
+def check_quantum_columns(
     *,
-    index: Sequence[int],
-    request: "np.ndarray",
-    request_int: "np.ndarray",
-    available: "np.ndarray",
-    allotment: "np.ndarray",
-    work: "np.ndarray",
-    span: "np.ndarray",
-    steps: "np.ndarray",
-    quantum_length: int,
-    start_step: int | Sequence[int],
-) -> list[QuantumRecord]:
-    """Construct one :class:`QuantumRecord` per row of aligned columns.
-
-    The batched simulation kernel produces a whole quantum's records as
-    aligned numpy columns; materializing them through the scalar constructor
-    would re-validate row by row in python.  This constructor instead checks
-    every :meth:`QuantumRecord.__post_init__` invariant once, vectorized over
-    the columns, and then builds the (identical) instances through direct
-    slot writes.  If any row is invalid, construction falls back to the
-    scalar constructor so the offending row raises exactly the error —
-    message, row order — the serial path would.
-
-    ``start_step`` is a scalar when the rows are one machine-wide quantum
-    (every job starts together) and a per-row sequence when the rows are one
-    job's whole columnar trace (each quantum starts at its own step).
-    """
+    index: Sequence[int] | np.ndarray,
+    request: np.ndarray,
+    request_int: np.ndarray,
+    available: np.ndarray,
+    allotment: np.ndarray,
+    work: np.ndarray,
+    span: np.ndarray,
+    steps: np.ndarray,
+    quantum_length: int | np.ndarray,
+    start_step: int | Sequence[int] | np.ndarray,
+) -> None:
+    """Check every :meth:`QuantumRecord.__post_init__` invariant over
+    aligned columns in one vectorized pass.  Only if some row fails are the
+    rows rebuilt through the scalar constructor, so the first bad row raises
+    exactly the error — message, row order — the per-record path would."""
     valid = (
         (allotment >= 0)
         & (available >= 0)
@@ -232,23 +227,32 @@ def quantum_records_from_columns(
         & (span >= 0.0)
         & (span <= work + 1e-9)
     )
-    starts = repeat(start_step) if isinstance(start_step, int) else start_step
-    rows = zip(
-        index,
-        request.tolist(),
-        request_int.tolist(),
-        available.tolist(),
-        allotment.tolist(),
-        work.tolist(),
-        span.tolist(),
-        steps.tolist(),
-        starts,
+    if valid.all() and not (np.asarray(index, dtype=np.int64) < 1).any():
+        return
+    rows = quantum_rows(
+        index=index,
+        request=request,
+        request_int=request_int,
+        available=available,
+        allotment=allotment,
+        work=work,
+        span=span,
+        steps=steps,
+        quantum_length=quantum_length,
+        start_step=start_step,
     )
-    if not valid.all() or (len(index) and min(index) < 1):
-        return [
-            QuantumRecord(i, d, di, p, a, t1, tinf, st, quantum_length, s0)
-            for i, d, di, p, a, t1, tinf, st, s0 in rows
-        ]
+    for row in rows:
+        QuantumRecord(*row)
+
+
+def quantum_records_from_columns(**columns: Any) -> list[QuantumRecord]:
+    """Construct one :class:`QuantumRecord` per row of aligned columns.
+
+    Takes the keyword columns of :func:`check_quantum_columns`, runs that
+    check, and then builds the (identical) instances through direct slot
+    writes instead of re-validating row by row in python.
+    """
+    check_quantum_columns(**columns)
     new = object.__new__
     (
         s_index,
@@ -264,7 +268,7 @@ def quantum_records_from_columns(
     ) = _RECORD_SETTERS
     out: list[QuantumRecord] = []
     append = out.append
-    for i, d, di, p, a, t1, tinf, st, s0 in rows:
+    for i, d, di, p, a, t1, tinf, st, ql, s0 in quantum_rows(**columns):
         r = new(QuantumRecord)
         s_index(r, i)
         s_request(r, d)
@@ -274,7 +278,7 @@ def quantum_records_from_columns(
         s_work(r, t1)
         s_span(r, tinf)
         s_steps(r, st)
-        s_quantum_length(r, quantum_length)
+        s_quantum_length(r, ql)
         s_start_step(r, s0)
         append(r)
     return out
@@ -286,79 +290,47 @@ class JobTrace:
     Aggregates the measurements the paper's evaluation reports: running time,
     wasted processor cycles, and the measured transition factor.
 
-    Backing stores
-    --------------
-    A trace is either *record-backed* (a plain list of
-    :class:`QuantumRecord`, appended as the serial simulation paths run) or
-    *columnar* — the batched simulation kernel attaches a
-    :class:`~repro.core.columnar.TraceColumns` of aligned per-quantum arrays
-    via :meth:`attach_columns`.  Columnar traces answer every aggregate
-    (running time, work, waste, series) straight from the arrays, and
-    materialize the identical record list lazily on first access to
-    :attr:`records` — the fig5/fig6 artifact writers that only need sums
-    never pay for record objects at all.  Either backing produces
-    bit-identical values.
+    Storage
+    -------
+    A trace stores its quanta in one
+    :class:`~repro.core.columnar.TraceColumns` of aligned per-quantum
+    arrays, built once by whatever produced the trace: the batched kernel's
+    :class:`~repro.sim.superstep.QuantumLog` at the end of a run, or
+    :meth:`~repro.core.columnar.TraceColumns.from_records` at the end of the
+    single-job and reference loops and of trace loading.  Every aggregate
+    reads the arrays.  :attr:`records` is a read-only tuple built from the
+    columns on first access (every row validated) and cached; the columns
+    are never mutated, so the cache cannot go stale.
     """
 
-    __slots__ = ("quantum_length", "release_time", "job_id", "_records", "_columns")
+    __slots__ = ("quantum_length", "columns", "release_time", "job_id", "_record_view")
 
     def __init__(
         self,
         quantum_length: int,
-        records: list[QuantumRecord] | None = None,
+        columns: "TraceColumns | None" = None,
         release_time: int = 0,
         job_id: int | None = None,
     ) -> None:
+        if columns is None:  # an empty trace
+            from .columnar import TraceColumns
+
+            columns = TraceColumns.from_records(())
         self.quantum_length = quantum_length
-        self._records: list[QuantumRecord] = records if records is not None else []
+        self.columns = columns
         self.release_time = release_time
         self.job_id = job_id
-        self._columns: "TraceColumns | None" = None
-
-    # ------------------------------------------------------------------
-    # Backing-store management
-    # ------------------------------------------------------------------
+        self._record_view: tuple[QuantumRecord, ...] | None = None
 
     @property
-    def records(self) -> list[QuantumRecord]:
-        """The record list, materialized from the columnar backing on first
-        access (and from then on the live, mutable backing)."""
-        cols = self._columns
-        if cols is not None:
-            self._columns = None
-            self._records = cols.build_records()
-        return self._records
-
-    @records.setter
-    def records(self, records: list[QuantumRecord]) -> None:
-        self._columns = None
-        self._records = records
-
-    @property
-    def has_columns(self) -> bool:
-        """Whether the trace is still columnar (records not yet built)."""
-        return self._columns is not None
-
-    def attach_columns(self, columns: "TraceColumns") -> None:
-        """Adopt a columnar backing store.  Only an empty trace can adopt
-        one — mixing an existing record list with arrays would make the
-        lazily-built view ambiguous."""
-        if self._records or self._columns is not None:
-            raise ValueError("columnar backing requires an empty trace")
-        self._columns = columns
-
-    def append(self, record: QuantumRecord) -> None:
-        if self.records and record.index != self._records[-1].index + 1:
-            raise ValueError("quantum records must be appended in order")
-        if not self._records and record.index != 1:
-            raise ValueError("first quantum record must have index 1")
-        self._records.append(record)
+    def records(self) -> tuple[QuantumRecord, ...]:
+        """The quanta as records, built from the columns on first access."""
+        if self._record_view is None:
+            self._record_view = tuple(self.columns.build_records())
+        return self._record_view
 
     def __len__(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return len(cols)
-        return len(self._records)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[QuantumRecord]:
         return iter(self.records)
@@ -376,13 +348,13 @@ class JobTrace:
             self.quantum_length == other.quantum_length
             and self.release_time == other.release_time
             and self.job_id == other.job_id
-            and self.records == other.records
+            and self.columns == other.columns
         )
 
     def __repr__(self) -> str:
         return (
             f"JobTrace(quantum_length={self.quantum_length!r}, "
-            f"records={self.records!r}, release_time={self.release_time!r}, "
+            f"quanta={len(self)}, release_time={self.release_time!r}, "
             f"job_id={self.job_id!r})"
         )
 
@@ -393,19 +365,14 @@ class JobTrace:
     @property
     def running_time(self) -> int:
         """Total time steps from the job's first quantum to completion."""
-        cols = self._columns
-        if cols is not None:
-            return cols.total_steps()
-        return sum(r.steps for r in self._records)
+        return int(self.columns.steps.sum())
 
     @property
     def completion_time(self) -> int:
         """Absolute completion step (start of first quantum + running time)."""
         if len(self) == 0:
             return self.release_time
-        cols = self._columns
-        first = cols.first_start() if cols is not None else self._records[0].start_step
-        return first + self.running_time
+        return int(self.columns.start_step[0]) + self.running_time
 
     @property
     def response_time(self) -> int:
@@ -414,37 +381,39 @@ class JobTrace:
 
     @property
     def total_work(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return cols.total_work()
-        return sum(r.work for r in self._records)
+        return int(self.columns.work.sum())
 
     @property
     def total_span(self) -> float:
-        cols = self._columns
-        if cols is not None:
-            return cols.total_span()
-        return sum(r.span for r in self._records)
+        # Left-to-right python-float addition: numpy's pairwise summation
+        # (and, from python 3.12, the builtin ``sum``) would round
+        # differently, and every artifact and fixture pins this order.
+        total = 0.0
+        for value in self.columns.span.tolist():
+            total += value
+        return total
 
     @property
     def total_waste(self) -> int:
-        cols = self._columns
-        if cols is not None:
-            return cols.total_waste()
-        return sum(r.waste for r in self._records)
+        cols = self.columns
+        return int((cols.allotment * cols.steps - cols.work).sum())
 
     @property
     def full_quanta(self) -> list[QuantumRecord]:
         return [r for r in self.records if r.is_full]
 
     def avg_parallelism_series(self, *, full_only: bool = True) -> list[float]:
-        cols = self._columns
-        if cols is not None:
-            return cols.avg_parallelism_series(full_only=full_only)
-        recs: Iterable[QuantumRecord] = (
-            self.full_quanta if full_only else self._records
-        )
-        return [r.avg_parallelism for r in recs]
+        cols = self.columns
+        work, span = cols.work, cols.span
+        if full_only:
+            full = cols.steps == cols.quantum_length
+            work, span = work[full], span[full]
+        # Python-scalar division per row, as QuantumRecord.avg_parallelism
+        # computes it (int / float), with the same empty-quantum zero.
+        return [
+            0.0 if tinf == 0 else t1 / tinf
+            for t1, tinf in zip(work.tolist(), span.tolist())
+        ]
 
     def measured_transition_factor(self) -> float:
         """Transition factor ``CL`` measured from the trace (Section 5.2):
@@ -454,16 +423,12 @@ class JobTrace:
         return transition_factor_of_series(series)
 
     def request_series(self) -> list[float]:
-        cols = self._columns
-        if cols is not None:
-            return cols.request_series()
-        return [r.request for r in self._records]
+        result: list[float] = self.columns.request.tolist()
+        return result
 
     def allotment_series(self) -> list[int]:
-        cols = self._columns
-        if cols is not None:
-            return cols.allotment_series()
-        return [r.allotment for r in self._records]
+        result: list[int] = self.columns.allotment.tolist()
+        return result
 
     @property
     def reallocation_count(self) -> int:
@@ -479,10 +444,8 @@ class JobTrace:
         total_steps = self.running_time
         if total_steps == 0:
             return 0.0
-        cols = self._columns
-        if cols is not None:
-            return cols.allotted_steps() / total_steps
-        return sum(r.allotment * r.steps for r in self._records) / total_steps
+        cols = self.columns
+        return int((cols.allotment * cols.steps).sum()) / total_steps
 
 
 def transition_factor_of_series(parallelism: Sequence[float]) -> float:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..core.columnar import TraceColumns
 from ..core.types import JobTrace, QuantumRecord
 from ..runtime import write_atomic
 
@@ -144,21 +145,20 @@ def trace_from_dict(data: dict[str, Any], *, where: str = "trace") -> JobTrace:
     job_id = data.get("job_id")
     if job_id is not None:
         job_id = _require_int(job_id, f"{where}.job_id")
-    trace = JobTrace(
-        quantum_length=_require_int(data["quantum_length"], f"{where}.quantum_length"),
-        release_time=_require_int(data.get("release_time", 0), f"{where}.release_time"),
-        job_id=job_id,
-    )
-    records = data.get("records")
-    if not isinstance(records, list):
-        raise ValueError(f"field {where}.records must be a list, got {records!r}")
-    for i, raw in enumerate(records):
-        record = _record_from_dict(raw, f"{where}.records[{i}]")
-        try:
-            trace.append(record)
-        except ValueError as exc:
-            raise ValueError(f"invalid record at {where}.records[{i}]: {exc}") from None
-    return trace
+    quantum_length = _require_int(data["quantum_length"], f"{where}.quantum_length")
+    release_time = _require_int(data.get("release_time", 0), f"{where}.release_time")
+    raw_records = data.get("records")
+    if not isinstance(raw_records, list):
+        raise ValueError(f"field {where}.records must be a list, got {raw_records!r}")
+    records = [
+        _record_from_dict(raw, f"{where}.records[{i}]")
+        for i, raw in enumerate(raw_records)
+    ]
+    try:
+        columns = TraceColumns.from_records(records)
+    except ValueError as exc:
+        raise ValueError(f"invalid records at {where}.records: {exc}") from None
+    return JobTrace(quantum_length, columns, release_time=release_time, job_id=job_id)
 
 
 def save_trace(trace: JobTrace, path: str | Path) -> Path:

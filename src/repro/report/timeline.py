@@ -30,8 +30,8 @@ def allotment_strip(trace: JobTrace, *, max_quanta: int = 60) -> str:
             f"{name:<{label_w}}  {sparkline(series)}"
             f"  [{min(series):.3g}, {max(series):.3g}]"
         )
-    if len(trace.records) > max_quanta:
-        lines.append(f"({len(trace.records) - max_quanta} more quanta not shown)")
+    if len(trace) > max_quanta:
+        lines.append(f"({len(trace) - max_quanta} more quanta not shown)")
     return "\n".join(lines)
 
 
@@ -52,6 +52,6 @@ def timeline(trace: JobTrace, *, max_quanta: int = 30) -> str:
             f"{r.index:>4} {r.request:>8.2f} {r.allotment:>5} "
             f"{r.avg_parallelism:>8.2f} {r.waste:>8}  {bar}"
         )
-    if len(trace.records) > max_quanta:
-        lines.append(f"... ({len(trace.records) - max_quanta} more quanta)")
+    if len(trace) > max_quanta:
+        lines.append(f"... ({len(trace) - max_quanta} more quanta)")
     return "\n".join(lines)

@@ -30,9 +30,8 @@ bit-identical traces:
   round-robin) is one group spanning the machine; a
   :class:`~repro.allocators.hierarchical.HierarchicalAllocator` gives one
   group per processor group.  Records go *columnar* into one
-  :class:`~repro.sim.superstep.QuantumLog`, and finished traces get
-  array-backed :class:`~repro.core.columnar.TraceColumns` views instead of
-  eagerly-built record lists.
+  :class:`~repro.sim.superstep.QuantumLog`, and each finished trace stores
+  its slice of the log's columns; no record objects are built.
 
 Supersteps
 ----------
@@ -65,6 +64,7 @@ import numpy as np
 
 from ..allocators.base import Allocator, validate_allocation
 from ..allocators.hierarchical import HierarchicalAllocator
+from ..core.columnar import TraceColumns
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.types import JobTrace, QuantumRecord, integer_request
 from ..engine.base import JobExecutor
@@ -124,9 +124,9 @@ _Outcome = tuple[dict[int, JobTrace], int]
 class _ActiveJob:
     spec: JobSpec
     executor: JobExecutor
-    trace: JobTrace
+    release_time: int
     request: float
-    next_q: int = 1
+    records: list[QuantumRecord] = field(default_factory=list)
 
 
 def simulate_job_set(
@@ -234,7 +234,7 @@ def _reference_loop(
                 executor=make_executor(
                     spec.job, spec.discipline, strict=strict, engine=spec.engine
                 ),
-                trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
+                release_time=rel,
                 request=spec.feedback.first_request(),
             )
         if not active:
@@ -248,10 +248,10 @@ def _reference_loop(
         finished: list[int] = []
         for jid, job in active.items():
             a = alloc[jid]
-            prev_a = job.trace.records[-1].allotment if job.trace.records else None
+            prev_a = job.records[-1].allotment if job.records else None
             ex = run_quantum_with_overhead(job.executor, a, L, prev_a, overhead)
             record = QuantumRecord(
-                index=job.next_q,
+                index=len(job.records) + 1,
                 request=job.request,
                 request_int=requests[jid],
                 # Under a partitioning allocator the processors "available"
@@ -266,15 +266,20 @@ def _reference_loop(
                 quantum_length=L,
                 start_step=t,
             )
-            job.trace.append(record)
-            job.next_q += 1
+            job.records.append(record)
             if ex.finished:
                 finished.append(jid)
             else:
                 job.request = job.spec.feedback.next_request(record)
         # Finished traces land in admission order (the active dict's order).
         for jid in finished:
-            done[jid] = active.pop(jid).trace
+            job = active.pop(jid)
+            done[jid] = JobTrace(
+                L,
+                TraceColumns.from_records(job.records),
+                release_time=job.release_time,
+                job_id=jid,
+            )
         t += L
         quanta += 1
     return done, quanta
@@ -295,7 +300,8 @@ def _windowed_loop(
     allocator) re-derive membership, then run each group's window."""
     hier = allocator if isinstance(allocator, HierarchicalAllocator) else None
     log = QuantumLog(L)
-    done: dict[int, JobTrace] = {}
+    release = {jid: rel for rel, jid, _ in pending}
+    finished_order: list[int] = []
     kernels: list[MultiBatchKernel] = []
     budgets: list[int] = []
     if hier is None:
@@ -308,11 +314,11 @@ def _windowed_loop(
     while cursor < len(pending) or any(len(k) > 0 for k in kernels):
         if quanta >= max_quanta:
             raise RuntimeError(f"job set did not finish within {max_quanta} quanta")
-        arrivals: list[tuple[int, int, JobSpec, int]] = []  # (rel, jid, spec, seq)
+        arrivals: list[tuple[int, JobSpec, int]] = []  # (jid, spec, seq)
         while cursor < len(pending) and pending[cursor][0] <= t:
-            rel, jid, spec = pending[cursor]
+            _rel, jid, spec = pending[cursor]
             cursor += 1
-            arrivals.append((rel, jid, spec, seq))
+            arrivals.append((jid, spec, seq))
             seq += 1
         if not arrivals and all(len(k) == 0 for k in kernels):
             next_release = pending[cursor][0]
@@ -327,7 +333,7 @@ def _windowed_loop(
             id_req: list[tuple[int, int]] = []
             for kernel in kernels:
                 id_req.extend(zip(kernel.jids, kernel.integer_requests().tolist()))
-            for _rel, jid, spec, _s in arrivals:
+            for jid, spec, _s in arrivals:
                 id_req.append((jid, integer_request(spec.feedback.first_request())))
             id_req.sort()
             ids_arr = np.array([j for j, _ in id_req], dtype=np.int64)
@@ -345,12 +351,11 @@ def _windowed_loop(
                 if moving:
                     for state in kernel.export_slots(moving):
                         kernels[group_of[state.jid]].import_slot(state)
-        for rel, jid, spec, s in arrivals:
+        for jid, spec, s in arrivals:
             kernels[group_of.get(jid, 0)].admit(
                 jid=jid,
                 seq=s,
                 spec=spec,
-                trace=JobTrace(quantum_length=L, release_time=rel, job_id=jid),
                 profile=profiles[jid],
                 request=spec.feedback.first_request(),
             )
@@ -366,7 +371,7 @@ def _windowed_loop(
             window = min(window, (next_boundary - t) // L)
 
         executed = 0
-        finished: list[tuple[int, int, int, JobTrace]] = []
+        finished: list[tuple[int, int, int]] = []
         for g, kernel in enumerate(kernels):
             if len(kernel) == 0:
                 continue
@@ -383,11 +388,14 @@ def _windowed_loop(
             )
             executed = max(executed, ran)
             finished.extend(ended)
-        for _q, _s, jid, trace in sorted(finished):
-            done[jid] = trace
+        finished_order.extend(jid for _q, _s, jid in sorted(finished))
         if hier is not None:
             hier.advance_window(executed)
         t += executed * L
         quanta += executed
-    log.build_traces(done)
+    columns = log.build_traces()
+    done = {
+        jid: JobTrace(L, columns[jid], release_time=release[jid], job_id=jid)
+        for jid in finished_order
+    }
     return done, quanta

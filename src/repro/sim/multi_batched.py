@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.feedback import FeedbackPolicy
 from ..core.overhead import ReallocationOverhead
-from ..core.types import MAX_REQUEST, JobTrace
+from ..core.types import MAX_REQUEST
 from ..dag.graph import Dag
 from ..engine.batched import supports_batched
 from ..engine.phased import PhasedJob
@@ -107,7 +107,6 @@ class _Slot:
     result dict matches the serial loop's byte for byte."""
     spec: JobSpec
     policy: FeedbackPolicy
-    trace: JobTrace
 
 
 @dataclass(slots=True)
@@ -124,7 +123,6 @@ class SlotState:
     jid: int
     seq: int
     spec: JobSpec
-    trace: JobTrace
     request: float
     cur: int
     done: int
@@ -315,7 +313,6 @@ class MultiBatchKernel:
         jid: int,
         seq: int,
         spec: JobSpec,
-        trace: JobTrace,
         profile: tuple[tuple[int, int], ...],
         request: float,
     ) -> None:
@@ -324,7 +321,7 @@ class MultiBatchKernel:
         seg_k = np.asarray([k for _, k in profile], dtype=np.int64)
         seg_total = seg_w * seg_k
         self.slots.append(
-            _Slot(jid=jid, seq=seq, spec=spec, policy=spec.feedback, trace=trace)
+            _Slot(jid=jid, seq=seq, spec=spec, policy=spec.feedback)
         )
         self.jids.append(jid)
         pid = id(spec.feedback)
@@ -333,7 +330,7 @@ class MultiBatchKernel:
         self._dirty = True
 
     def remove(self, positions: list[int]) -> None:
-        """Drop finished slots (their traces were already handed out)."""
+        """Drop finished slots."""
         for pos in positions:
             pid = id(self.slots[pos].policy)
             count = self._policy_counts[pid] - 1
@@ -363,7 +360,6 @@ class MultiBatchKernel:
                     jid=slot.jid,
                     seq=slot.seq,
                     spec=slot.spec,
-                    trace=slot.trace,
                     request=float(arena.request[pos]),
                     cur=int(arena.cur[pos]),
                     done=int(arena.done[pos]),
@@ -386,7 +382,6 @@ class MultiBatchKernel:
                 seq=state.seq,
                 spec=state.spec,
                 policy=state.spec.feedback,
-                trace=state.trace,
             )
         )
         self.jids.append(state.jid)

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..allocators.base import Allocator, validate_allocation_arrays
 from ..core.overhead import ReallocationOverhead
-from ..core.types import JobTrace, QuantumRecord
+from ..core.types import QuantumRecord
 from .multi_batched import MultiBatchKernel, QuantumBatch
 from .superstep import QuantumGroup, QuantumLog
 
@@ -264,7 +264,7 @@ def run_group_window(
     quanta: int,
     superstep: bool,
     overhead: ReallocationOverhead,
-) -> tuple[int, list[tuple[int, int, int, JobTrace]]]:
+) -> tuple[int, list[tuple[int, int, int]]]:
     """Advance one group through a window of up to ``quanta`` quanta starting
     at machine time ``start``; returns ``(executed, finished)``.
 
@@ -272,14 +272,14 @@ def run_group_window(
     machine for a flat allocator); ``processors`` is the machine-wide ``P``
     that caps the records' ``available`` field.  ``executed`` falls short
     of ``quanta`` only if the group empties.  ``finished`` holds one
-    ``(window quantum, admission seq, job id, trace)`` entry per job that
+    ``(window quantum, admission seq, job id)`` entry per job that
     completed — sorting the union over all groups gives the reference
     loop's finished-trace order.  Mutates ``kernel``, ``allocator`` and
     ``log`` in place.
     """
     L = log.quantum_length
     layout_dirty = True
-    finished: list[tuple[int, int, int, JobTrace]] = []
+    finished: list[tuple[int, int, int]] = []
     executed = 0
     t = start
     while executed < quanta and len(kernel) > 0:
@@ -326,7 +326,7 @@ def run_group_window(
         )
         for pos in finished_pos:
             slot = kernel.slots[pos]
-            finished.append((executed, slot.seq, slot.jid, slot.trace))
+            finished.append((executed, slot.seq, slot.jid))
         if finished_pos:
             kernel.remove(finished_pos)
             layout_dirty = True

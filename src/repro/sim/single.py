@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from ..allocators.availability import ConstantAvailability
 from ..allocators.base import AvailabilityPolicy
+from ..core.columnar import TraceColumns
 from ..core.feedback import FeedbackPolicy
 from ..core.overhead import NO_OVERHEAD, ReallocationOverhead
 from ..core.quantum_policy import FixedQuantumLength, QuantumLengthPolicy
@@ -135,7 +136,6 @@ def simulate_job(
         prev = record
         q += 1
 
-    trace = JobTrace(quantum_length=records[0].quantum_length, job_id=job_id)
-    for record in records:
-        trace.append(record)
-    return trace
+    return JobTrace(
+        records[0].quantum_length, TraceColumns.from_records(records), job_id=job_id
+    )

@@ -18,9 +18,9 @@ lift the kernel to whole-*run* granularity:
     simulation loop appends one *group* of aligned column arrays (O(1) python,
     no per-slot work), and a superstep of ``K`` identical quanta appends one
     group with ``repeat=K``.  At the end of the run :meth:`QuantumLog.build_traces`
-    expands and sorts the groups once, vectorized, and attaches a
-    :class:`~repro.core.columnar.TraceColumns` view to every kernel job's
-    trace — records themselves are never built unless someone iterates them.
+    expands and sorts the groups once, vectorized, and returns every kernel
+    job's :class:`~repro.core.columnar.TraceColumns` — records themselves are
+    never built unless someone iterates them.
 
 :func:`pure_quantum_counts`
     The closed form behind multi-quantum fast-forwarding.  A quantum is
@@ -53,12 +53,12 @@ lift the kernel to whole-*run* granularity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.columnar import TraceColumns
-from ..core.types import JobTrace, quantum_records_from_columns
+from ..core.types import check_quantum_columns
 
 __all__ = [
     "SuperstepArena",
@@ -292,39 +292,24 @@ class QuantumLog:
         simulation mutates them in place after emission); the remaining
         columns must be freshly-computed arrays that are never written again.
 
-        Validation mirrors the per-record path: one vectorized pass over the
-        row invariants, falling back to scalar construction on failure so the
-        offending row raises exactly the record constructor's error at
-        exactly the quantum that produced it.
+        Validation mirrors the per-record path
+        (:func:`~repro.core.types.check_quantum_columns`): the offending row
+        raises exactly the record constructor's error at exactly the quantum
+        that produced it.
         """
-        quantum_length = self.quantum_length
-        valid = (
-            (allotment >= 0)
-            & (available >= 0)
-            & (allotment <= available)
-            & (allotment <= request_int)
-            & (steps >= 0)
-            & (steps <= quantum_length)
-            & (work >= 0)
-            & (work <= allotment * steps)
-            & (span >= 0.0)
-            & (span <= work + 1e-9)
-        )
         index0 = index0.copy()
-        if not valid.all() or (index0.size and int(index0.min()) < 1):
-            # Raise the scalar constructor's error for the first bad row.
-            quantum_records_from_columns(
-                index=index0.tolist(),
-                request=request,
-                request_int=request_int,
-                available=available,
-                allotment=allotment,
-                work=work,
-                span=span,
-                steps=steps,
-                quantum_length=quantum_length,
-                start_step=start_step,
-            )
+        check_quantum_columns(
+            index=index0,
+            request=request,
+            request_int=request_int,
+            available=available,
+            allotment=allotment,
+            work=work,
+            span=span,
+            steps=steps,
+            quantum_length=self.quantum_length,
+            start_step=start_step,
+        )
         group = QuantumGroup(
             epoch=self._epoch,
             start_step=start_step,
@@ -343,16 +328,16 @@ class QuantumLog:
 
     # ------------------------------------------------------------------
 
-    def build_traces(self, traces: Mapping[int, JobTrace]) -> None:
-        """Expand the groups once, sort rows by job, and attach a
-        :class:`TraceColumns` view to every job's trace.
+    def build_traces(self) -> dict[int, TraceColumns]:
+        """Expand the groups once, sort rows by job, and return every job's
+        :class:`TraceColumns` (views into the sorted run-wide columns).
 
         Group order is chronological and rows within a superstep group are
         slot-major (slot ``i``'s ``K`` quanta are consecutive), so a stable
         sort by job id leaves each job's rows in quantum order.
         """
         if not self._groups:
-            return
+            return {}
         L = self.quantum_length
         jid_parts: list[np.ndarray] = []
         idx_parts: list[np.ndarray] = []
@@ -405,19 +390,20 @@ class QuantumLog:
         }
         bounds = np.flatnonzero(np.diff(jid_sorted)) + 1
         starts = np.concatenate(([0], bounds, [jid_sorted.size]))
-        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
-            jid = int(jid_sorted[a])
-            traces[jid].attach_columns(
-                TraceColumns(
-                    quantum_length=L,
-                    index=idx_sorted[a:b],
-                    request=cols_sorted["request"][a:b],
-                    request_int=cols_sorted["request_int"][a:b],
-                    available=cols_sorted["available"][a:b],
-                    allotment=cols_sorted["allotment"][a:b],
-                    work=cols_sorted["work"][a:b],
-                    span=cols_sorted["span"][a:b],
-                    steps=cols_sorted["steps"][a:b],
-                    start_step=start_sorted[a:b],
-                )
+        # One 0-d quantum length shared by every trace: columns are read-only.
+        length = np.array(L, dtype=np.int64)
+        return {
+            int(jid_sorted[a]): TraceColumns(
+                index=idx_sorted[a:b],
+                request=cols_sorted["request"][a:b],
+                request_int=cols_sorted["request_int"][a:b],
+                available=cols_sorted["available"][a:b],
+                allotment=cols_sorted["allotment"][a:b],
+                work=cols_sorted["work"][a:b],
+                span=cols_sorted["span"][a:b],
+                steps=cols_sorted["steps"][a:b],
+                quantum_length=length,
+                start_step=start_sorted[a:b],
             )
+            for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())
+        }

@@ -164,7 +164,7 @@ def artifact_rows(result: "MultiJobResult") -> list[GiantRow]:
                 running_time=float(trace.running_time),
                 total_work=float(trace.total_work),
                 total_waste=float(trace.total_waste),
-                records=len(trace.records),
+                records=len(trace),
             )
         )
     return rows

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro import Phase, PhasedJob
-from repro.core.types import QuantumRecord
+from repro.core.columnar import TraceColumns
+from repro.core.types import JobTrace, QuantumRecord
 
 
 @pytest.fixture
@@ -23,6 +24,11 @@ def simple_phases() -> list[tuple[int, int]]:
 @pytest.fixture
 def simple_job(simple_phases) -> PhasedJob:
     return PhasedJob(simple_phases)
+
+
+def make_trace(records, quantum_length: int = 1000, **kwargs) -> JobTrace:
+    """A trace of ``records``, its columns built once as every producer does."""
+    return JobTrace(quantum_length, TraceColumns.from_records(records), **kwargs)
 
 
 def make_record(

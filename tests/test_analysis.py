@@ -24,14 +24,7 @@ from repro.core.types import JobTrace
 from repro.engine.phased import PhasedJob
 from repro.sim.single import simulate_job
 
-from conftest import make_record
-
-
-def _trace(records):
-    trace = JobTrace(quantum_length=1000)
-    for r in records:
-        trace.append(r)
-    return trace
+from conftest import make_record, make_trace as _trace
 
 
 # ---------------------------------------------------------------------------

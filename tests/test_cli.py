@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _parse_range, build_parser, main
+from repro.core.columnar import TraceColumns
 from repro.experiments.common import ExperimentTable, format_series, format_table
 
 
@@ -93,6 +94,32 @@ class TestResilienceFlagValidation:
     def test_accepted(self, argv):
         args = build_parser().parse_args(argv)
         assert callable(args.func)
+
+
+class TestNoRecordObjects:
+    """The artifact paths answer from trace columns: none of them may build
+    record objects, however much simulated data they summarize."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_record_builds(self, monkeypatch):
+        def refuse(cols):
+            raise AssertionError("an artifact path built record objects")
+
+        monkeypatch.setattr(TraceColumns, "build_records", refuse)
+
+    def test_giant(self, tmp_path, capsys):
+        csv = tmp_path / "giant.csv"
+        argv = ["giant", "--groups", "8", "--jobs-per-group", "32", "--quanta", "60"]
+        assert main(argv + ["--csv", str(csv)]) == 0
+        assert len(csv.read_text().splitlines()) == 8 * 32 + 1
+
+    def test_fig6(self, tmp_path, capsys):
+        csv = tmp_path / "fig6.csv"
+        assert main(["fig6", "--sets", "4", "--csv", str(csv)]) == 0
+        assert len(csv.read_text().splitlines()) == 4 + 1
+
+    def test_fig5(self, tmp_path, capsys):
+        assert main(["fig5", "--factors", "2:20:9", "--jobs", "2"]) == 0
 
 
 class TestMainCommands:

@@ -31,6 +31,7 @@ from repro.io.traces import (
     trace_from_dict,
     trace_to_dict,
 )
+from repro.core.columnar import TraceColumns
 from repro.core.types import JobTrace, QuantumRecord
 
 
@@ -54,28 +55,28 @@ def tiny_spec(scenario_id: str = "tiny", **overrides) -> ScenarioSpec:
     return ScenarioSpec(**fields)
 
 
-def make_trace(values, *, quantum_length=100, release_time=0, job_id=None):
-    trace = JobTrace(
-        quantum_length=quantum_length, release_time=release_time, job_id=job_id
-    )
-    start = release_time
-    for i, (request, allotment) in enumerate(values, start=1):
-        trace.append(
-            QuantumRecord(
-                index=i,
-                request=float(request),
-                request_int=int(round(request)),
-                available=allotment,
-                allotment=allotment,
-                work=allotment * quantum_length,
-                span=float(quantum_length),
-                steps=quantum_length,
-                quantum_length=quantum_length,
-                start_step=start,
-            )
+def make_trace(values, *, quantum_length=100, release_time=0, job_id=None, span=None):
+    records = [
+        QuantumRecord(
+            index=i,
+            request=float(request),
+            request_int=int(round(request)),
+            available=allotment,
+            allotment=allotment,
+            work=allotment * quantum_length,
+            span=float(quantum_length) if span is None else span,
+            steps=quantum_length,
+            quantum_length=quantum_length,
+            start_step=release_time + (i - 1) * quantum_length,
         )
-        start += quantum_length
-    return trace
+        for i, (request, allotment) in enumerate(values, start=1)
+    ]
+    return JobTrace(
+        quantum_length,
+        TraceColumns.from_records(records),
+        release_time=release_time,
+        job_id=job_id,
+    )
 
 
 class TestTraceHardening:
@@ -381,10 +382,10 @@ class TestFirstDivergence:
         assert "unexpected jobs [3]" in div.detail
 
     def test_float_comparison_is_bitwise(self):
-        a = make_trace([(2, 2)])
-        b = make_trace([(2, 2)])
-        object.__setattr__(b.records[0], "span", -0.0)  # dataclass is frozen
-        div = first_divergence({1: a}, {1: b})
+        a = make_trace([(2, 2)], span=0.0)
+        b = make_trace([(2, 2)], span=-0.0)
+        assert a == b  # equal by value ...
+        div = first_divergence({1: a}, {1: b})  # ... but not bit for bit
         assert div is not None
         assert {f.field for f in div.fields} == {"span"}
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import JobTrace
 from repro.sim.metrics import (
     job_set_load,
     makespan,
@@ -16,24 +15,21 @@ from repro.sim.metrics import (
 )
 from repro.sim.results import geometric_mean, summarize
 
-from conftest import make_record
+from conftest import make_record, make_trace
 
 
 def trace_completing_at(t_complete, release=0):
-    trace = JobTrace(quantum_length=t_complete, release_time=release)
-    trace.append(
-        make_record(
-            index=1,
-            steps=t_complete,
-            quantum_length=t_complete,
-            work=t_complete,
-            span=float(t_complete),
-            allotment=1,
-            request=1.0,
-            start_step=release,
-        )
+    record = make_record(
+        index=1,
+        steps=t_complete,
+        quantum_length=t_complete,
+        work=t_complete,
+        span=float(t_complete),
+        allotment=1,
+        request=1.0,
+        start_step=release,
     )
-    return trace
+    return make_trace([record], t_complete, release_time=release)
 
 
 class TestMakespanAndResponse:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.allocators import DynamicEquiPartitioning
 from repro.core.reference import FixedRequest
-from repro.core.types import MAX_REQUEST, JobTrace, integer_request
+from repro.core.types import MAX_REQUEST, integer_request
 from repro.engine.phased import PhasedJob
 from repro.sim.jobs import JobSpec
 from repro.sim.multi import simulate_job_set
@@ -30,7 +30,6 @@ def kernel_requests(d: float) -> list[int]:
         jid=0,
         seq=0,
         spec=JobSpec(job=PhasedJob([(1, 1)]), feedback=FixedRequest(1)),
-        trace=JobTrace(quantum_length=10, job_id=0),
         profile=((1, 1),),
         request=d,
     )

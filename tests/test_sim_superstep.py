@@ -20,6 +20,7 @@ from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.allocators.roundrobin import RoundRobinAllocator
 from repro.core.abg import AControl
 from repro.core.agreedy import AGreedy
+from repro.core.columnar import TraceColumns
 from repro.core.overhead import ReallocationOverhead
 from repro.core.reference import FixedRequest
 from repro.core.types import JobTrace, QuantumRecord
@@ -88,7 +89,6 @@ def single_slot_kernel(phases, request: float) -> MultiBatchKernel:
         jid=0,
         seq=0,
         spec=spec,
-        trace=JobTrace(quantum_length=100, job_id=0),
         profile=profile,
         request=request,
     )
@@ -409,12 +409,9 @@ class TestQuantumLog:
         log.set_layout([3])  # job 5 left
         log.append_quantum(start_step=40, repeat=1, **self._group_cols(
             [5], [4.0], [12]))
-        traces = {
-            5: JobTrace(quantum_length=10, job_id=5),
-            3: JobTrace(quantum_length=10, job_id=3),
-        }
-        log.build_traces(traces)
-        assert traces[5].has_columns and traces[3].has_columns
+        columns = log.build_traces()
+        assert sorted(columns) == [3, 5]
+        traces = {jid: JobTrace(10, cols, job_id=jid) for jid, cols in columns.items()}
         recs5 = traces[5].records
         assert [r.index for r in recs5] == [1, 2, 3, 4]
         assert [r.start_step for r in recs5] == [0, 10, 20, 30]
@@ -586,7 +583,15 @@ class TestSuperstepIdentity:
                 max_quanta=500, superstep="auto",
             )
 
-    def test_columnar_traces_lazy_until_records_read(self):
+    def test_columnar_traces_lazy_until_records_read(self, monkeypatch):
+        builds = []
+        build_records = TraceColumns.build_records
+
+        def counting(cols):
+            builds.append(cols)
+            return build_records(cols)
+
+        monkeypatch.setattr(TraceColumns, "build_records", counting)
         policy = AControl(0.2)
         specs = [
             JobSpec(job=PhasedJob([(4, 3000)]), feedback=policy, job_id=0)
@@ -595,13 +600,14 @@ class TestSuperstepIdentity:
             specs, DynamicEquiPartitioning(), 16, quantum_length=20
         )
         trace = res.traces[0]
-        assert trace.has_columns
         # aggregates answer from columns without materializing
         work = trace.total_work
         span = trace.total_span
-        assert trace.has_columns
-        recs = trace.records  # materializes
-        assert not trace.has_columns
+        assert trace.avg_parallelism_series() and trace.reallocation_count >= 0
+        assert builds == []
+        recs = trace.records  # materializes, once
+        assert trace.records is recs and len(builds) == 1
+        assert trace.total_work == work  # columns stay the store
         assert sum(r.work for r in recs) == work
         total = 0.0
         for r in recs:

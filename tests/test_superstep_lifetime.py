@@ -36,6 +36,11 @@ def _emit(log: QuantumLog, *, start_step: int, repeat: int, index0, request) -> 
     )
 
 
+def _traces(log: QuantumLog) -> dict[int, JobTrace]:
+    """Every job's trace over the columns the log builds."""
+    return {jid: JobTrace(L, cols, job_id=jid) for jid, cols in log.build_traces().items()}
+
+
 class TestSnapshotLifetimes:
     def test_layout_survives_caller_mutation(self):
         # set_layout must own its memory: the kernel keeps appending to and
@@ -47,8 +52,7 @@ class TestSnapshotLifetimes:
         jids.append(11)
         jids[0] = 99
 
-        traces = {7: JobTrace(L, job_id=7), 9: JobTrace(L, job_id=9)}
-        log.build_traces(traces)
+        traces = _traces(log)
         assert len(traces[7].records) == 1
         assert len(traces[9].records) == 1
 
@@ -73,8 +77,7 @@ class TestSnapshotLifetimes:
         arena.next_q[: arena.n] += 1
         arena.request[: arena.n] = -1.0
 
-        traces = {1: JobTrace(L, job_id=1), 2: JobTrace(L, job_id=2)}
-        log.build_traces(traces)
+        traces = _traces(log)
         assert traces[1].records[0].index == 1
         assert traces[1].records[0].request == 2.0
         assert traces[2].records[0].request == 3.0
@@ -101,8 +104,7 @@ class TestSnapshotLifetimes:
             arena.admit(request=9.0, seg_w=seg_w, seg_total=seg_total)
         arena.request[:] = -1.0
 
-        traces = {1: JobTrace(L, job_id=1)}
-        log.build_traces(traces)
+        traces = _traces(log)
         record = traces[1].records[0]
         assert record.request == 2.0
         assert record.index == 1
@@ -112,17 +114,12 @@ class TestEmptyLog:
     def test_build_traces_is_a_noop(self):
         log = QuantumLog(L)
         assert len(log) == 0
-        trace = JobTrace(L, job_id=1)
-        log.build_traces({1: trace})
-        assert not trace.has_columns
-        assert trace.records == []
+        assert log.build_traces() == {}
 
     def test_layout_only_log_is_still_empty(self):
         log = QuantumLog(L)
         log.set_layout([1, 2])
-        trace = JobTrace(L, job_id=1)
-        log.build_traces({1: trace})
-        assert not trace.has_columns
+        assert log.build_traces() == {}
         assert len(log) == 0
 
 
@@ -136,8 +133,7 @@ class TestLayoutEpochBoundary:
         log.set_layout([3, 2])
         _emit(log, start_step=L, repeat=1, index0=[1, 2], request=[4.0, 3.0])
 
-        traces = {j: JobTrace(L, job_id=j) for j in (1, 2, 3)}
-        log.build_traces(traces)
+        traces = _traces(log)
         assert [r.request for r in traces[1].records] == [2.0]
         assert [r.request for r in traces[2].records] == [3.0, 3.0]
         assert [r.index for r in traces[2].records] == [1, 2]
@@ -152,8 +148,7 @@ class TestLayoutEpochBoundary:
         log.set_layout([5, 6])
         _emit(log, start_step=3 * L, repeat=1, index0=[4, 1], request=[2.0, 8.0])
 
-        traces = {5: JobTrace(L, job_id=5), 6: JobTrace(L, job_id=6)}
-        log.build_traces(traces)
+        traces = _traces(log)
         five = traces[5].records
         assert [r.index for r in five] == [1, 2, 3, 4]
         assert [r.start_step for r in five] == [0, L, 2 * L, 3 * L]

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.abg import AControl
+from repro.core.columnar import TraceColumns
+from repro.core.quantum_policy import AdaptiveQuantumLength
 from repro.core.types import (
     JobTrace,
     QuantumRecord,
@@ -15,8 +18,11 @@ from repro.core.types import (
     quantum_records_from_columns,
     transition_factor_of_series,
 )
+from repro.io.traces import load_trace, save_trace
+from repro.sim.single import simulate_job
+from repro.workloads.forkjoin import constant_parallelism_job
 
-from conftest import make_record
+from conftest import make_record, make_trace as _trace_with
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +209,11 @@ class TestQuantumRecordsFromColumns:
         assert hash(rec) == hash(twin)
         assert pickle.loads(pickle.dumps(rec)) == rec
 
-    def test_appendable_to_trace(self):
-        trace = JobTrace(quantum_length=1000)
-        for rec in quantum_records_from_columns(**_columns(3)):
-            trace.append(rec)
+    def test_builds_a_trace_through_columns(self):
+        recs = quantum_records_from_columns(**_columns(3))
+        trace = _trace_with(recs)
         assert len(trace) == 3
+        assert trace.records == tuple(recs)
 
     def test_invalid_row_raises_scalar_error(self):
         """A violating row falls back to the scalar constructor and raises
@@ -235,24 +241,49 @@ class TestQuantumRecordsFromColumns:
 # ---------------------------------------------------------------------------
 
 
-def _trace_with(records):
-    trace = JobTrace(quantum_length=1000)
-    for rec in records:
-        trace.append(rec)
-    return trace
+@pytest.fixture
+def no_records(monkeypatch):
+    """Make any build of record objects from columns fail the test."""
+
+    def refuse(cols):
+        raise AssertionError("records were built")
+
+    monkeypatch.setattr(TraceColumns, "build_records", refuse)
 
 
 class TestJobTrace:
-    def test_append_enforces_order(self):
-        trace = JobTrace(quantum_length=1000)
-        trace.append(make_record(index=1))
-        with pytest.raises(ValueError):
-            trace.append(make_record(index=3))
+    def test_from_records_enforces_order(self):
+        with pytest.raises(ValueError, match="^quantum records must be appended in order$"):
+            TraceColumns.from_records([make_record(index=1), make_record(index=3)])
+        with pytest.raises(ValueError, match="^quantum records must be appended in order$"):
+            TraceColumns.from_records([make_record(index=1), make_record(index=1)])
 
     def test_first_record_must_be_quantum_one(self):
-        trace = JobTrace(quantum_length=1000)
-        with pytest.raises(ValueError):
-            trace.append(make_record(index=2))
+        with pytest.raises(ValueError, match="^first quantum record must have index 1$"):
+            TraceColumns.from_records([make_record(index=2), make_record(index=3)])
+
+    def test_records_are_a_cached_read_only_tuple(self):
+        trace = _trace_with([make_record(index=1), make_record(index=2)])
+        recs = trace.records
+        assert isinstance(recs, tuple) and trace.records is recs
+        with pytest.raises(AttributeError):
+            trace.records = []
+
+    def test_eq_and_repr_build_no_records(self, no_records):
+        a = _trace_with([make_record(index=1, span=0.0), make_record(index=2)])
+        b = _trace_with([make_record(index=1, span=-0.0), make_record(index=2)])
+        assert a == b  # -0.0 == 0.0, as record == says
+        assert a != _trace_with([make_record(index=1, span=1.0), make_record(index=2)])
+        assert a != _trace_with([make_record(index=1, span=0.0)])
+        assert a != _trace_with([make_record(index=1, span=0.0), make_record(index=2)], 500)
+        assert repr(a) == (
+            "JobTrace(quantum_length=1000, quanta=2, release_time=0, job_id=None)"
+        )
+
+    def test_fixed_length_is_stored_once(self):
+        trace = simulate_job(constant_parallelism_job(4, 4000), AControl(0.2), 16, quantum_length=100)
+        assert trace.columns.quantum_length.shape == ()
+        assert trace.columns.steps.size > 1
 
     def test_one_based_indexing(self):
         trace = _trace_with([make_record(index=1), make_record(index=2)])
@@ -273,9 +304,13 @@ class TestJobTrace:
         assert trace.running_time == 1400
 
     def test_completion_and_response_time(self):
-        trace = JobTrace(quantum_length=1000, release_time=500)
-        trace.append(make_record(index=1, start_step=1000))
-        trace.append(make_record(index=2, start_step=2000, steps=300, work=100, span=50))
+        trace = _trace_with(
+            [
+                make_record(index=1, start_step=1000),
+                make_record(index=2, start_step=2000, steps=300, work=100, span=50),
+            ],
+            release_time=500,
+        )
         assert trace.completion_time == 1000 + 1000 + 300
         assert trace.response_time == 2300 - 500
 
@@ -327,6 +362,40 @@ class TestJobTrace:
 
     def test_avg_allotment_empty(self):
         assert JobTrace(quantum_length=10).avg_allotment == 0.0
+
+
+class TestAdaptiveQuantumLengthTrace:
+    """``AdaptiveQuantumLength`` gives each quantum its own ``L``: the
+    columns keep one length per row, and every reader uses the row's."""
+
+    @pytest.fixture
+    def trace(self):
+        return simulate_job(
+            constant_parallelism_job(4, 4000),
+            AControl(0.0),
+            16,
+            quantum_length=AdaptiveQuantumLength(100, min_length=50, max_length=400),
+        )
+
+    def test_lengths_kept_per_row(self, trace):
+        lengths = trace.columns.quantum_length.tolist()
+        assert len(lengths) == len(trace) and len(set(lengths)) > 1
+        assert [r.quantum_length for r in trace.records] == lengths
+
+    def test_full_quanta_use_each_rows_length(self, trace):
+        full = [r for r in trace.records if r.steps == r.quantum_length]
+        assert any(r.quantum_length != trace.quantum_length for r in full)
+        assert trace.full_quanta == full
+        assert trace.avg_parallelism_series(full_only=True) == [
+            r.avg_parallelism for r in full
+        ]
+
+    def test_save_load_round_trip_is_byte_identical(self, trace, tmp_path):
+        first = save_trace(trace, tmp_path / "a.json")
+        loaded = load_trace(first)
+        assert loaded == trace
+        second = save_trace(loaded, tmp_path / "b.json")
+        assert first.read_bytes() == second.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,24 @@
 
 Hand-built violating traces and tampered schedules must each surface their
 specific violation code; clean engine runs — including hypothesis-randomized
-fork-join workloads — must audit clean.  Forged records bypass
-``QuantumRecord.__post_init__`` on purpose: the whole point is to hand the
-auditor records the engines could never emit.
+fork-join workloads — must audit clean.  Forged quanta are written straight
+into a trace's columns, bypassing every check a producer or
+``QuantumRecord.__post_init__`` makes, on purpose: the whole point is to
+hand the auditor quanta the engines could never emit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.core.abg import AControl
+from repro.core.columnar import TraceColumns
 from repro.core.types import JobTrace, QuantumRecord
 from repro.dag.builders import fork_join_from_phases
 from repro.engine.explicit import ExplicitExecutor
@@ -38,19 +40,21 @@ L = 50
 RATE = 0.2
 
 
-def forge(rec: QuantumRecord, **overrides: object) -> QuantumRecord:
-    """Clone a record with fields overridden, skipping validation."""
-    clone = object.__new__(QuantumRecord)
-    for f in dataclasses.fields(QuantumRecord):
-        object.__setattr__(clone, f.name, overrides.get(f.name, getattr(rec, f.name)))
-    return clone
-
-
 def tamper(trace: JobTrace, q: int, **overrides: object) -> JobTrace:
-    """Copy of ``trace`` with quantum ``q`` forged."""
-    out = JobTrace(quantum_length=trace.quantum_length, job_id=trace.job_id)
-    out.records = [forge(r, **overrides) if r.index == q else r for r in trace.records]
-    return out
+    """Copy of ``trace`` with the stored fields of quantum ``q`` forged."""
+    shape = trace.columns.index.shape
+    cols = {
+        name: np.array(np.broadcast_to(getattr(trace.columns, name), shape))
+        for name in TraceColumns.__slots__
+    }
+    for name, value in overrides.items():
+        cols[name][q - 1] = value
+    return JobTrace(
+        trace.quantum_length,
+        TraceColumns(**cols),
+        release_time=trace.release_time,
+        job_id=trace.job_id,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +103,8 @@ class TestForgedTraces:
         rec = self._mid_quantum(trace)
         a = rec.available + 3
         bad = tamper(trace, rec.index, allotment=a, request=float(a), request_int=a)
+        with pytest.raises(ValueError, match="allotment exceeds availability"):
+            bad.records  # the validated record view refuses the forged row
         report = audit_trace(bad)
         assert report.codes() == {V.V_ALLOTMENT_EXCEEDS_AVAILABLE}
         (v,) = report.by_code(V.V_ALLOTMENT_EXCEEDS_AVAILABLE)
