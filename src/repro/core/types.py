@@ -68,7 +68,7 @@ def integer_request(d: float) -> int:
     return max(1, math.ceil(d - 1e-9))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuantumRecord:
     """Everything observed about one scheduling quantum of one job."""
 
@@ -102,25 +102,50 @@ class QuantumRecord:
     start_step: int = 0
     """Absolute time step at which the quantum began."""
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
+    def __init__(
+        self,
+        index: int,
+        request: float,
+        request_int: int,
+        available: int,
+        allotment: int,
+        work: int,
+        span: float,
+        steps: int,
+        quantum_length: int,
+        start_step: int = 0,
+    ) -> None:
+        # The slot descriptors' own setters (bound once, below the class):
+        # a frozen dataclass's generated __init__ pays one
+        # ``object.__setattr__`` lookup per field instead.
+        _set_index(self, index)
+        _set_request(self, request)
+        _set_request_int(self, request_int)
+        _set_available(self, available)
+        _set_allotment(self, allotment)
+        _set_work(self, work)
+        _set_span(self, span)
+        _set_steps(self, steps)
+        _set_quantum_length(self, quantum_length)
+        _set_start_step(self, start_step)
+        if index < 1:
             raise ValueError("quantum index starts at 1")
-        if self.allotment < 0 or self.available < 0:
+        if allotment < 0 or available < 0:
             raise ValueError("negative processors")
-        if self.allotment > self.available:
+        if allotment > available:
             raise ValueError("allotment exceeds availability")
-        if self.allotment > self.request_int:
+        if allotment > request_int:
             raise ValueError("allocator is conservative: a(q) <= ceil(d(q))")
-        if self.steps < 0 or self.steps > self.quantum_length:
+        if steps < 0 or steps > quantum_length:
             raise ValueError("quantum steps outside [0, L]")
-        if self.work < 0 or self.work > self.allotment * self.steps:
+        if work < 0 or work > allotment * steps:
             raise ValueError("quantum work outside [0, a(q) * steps]")
         # Every completed task contributes at most one fractional level, so
         # span <= work always.  The stronger invariant span <= steps (the
         # paper's Tinf(q) <= L, Section 5.1) holds for breadth-first
         # execution but NOT for depth-first disciplines, which smear
         # completions across levels — precisely why B-Greedy exists.
-        if self.span < 0 or self.span > self.work + 1e-9:
+        if span < 0 or span > work + 1e-9:
             raise ValueError("quantum span outside [0, work]")
 
     # ------------------------------------------------------------------
@@ -175,12 +200,23 @@ class QuantumRecord:
 
 
 _FIELDS = tuple(f.name for f in fields(QuantumRecord))
-"""Record field names in constructor order (also :class:`TraceColumns`'s)."""
+"""Record field names in constructor order."""
 
-_RECORD_SETTERS = tuple(QuantumRecord.__dict__[name].__set__ for name in _FIELDS)
-"""Direct slot-descriptor writers, bound once — the trusted batch
-constructor's way around the frozen dataclass's per-field
-``object.__setattr__`` calls."""
+(
+    _set_index,
+    _set_request,
+    _set_request_int,
+    _set_available,
+    _set_allotment,
+    _set_work,
+    _set_span,
+    _set_steps,
+    _set_quantum_length,
+    _set_start_step,
+) = (QuantumRecord.__dict__[name].__set__ for name in _FIELDS)
+"""Direct slot-descriptor writers, bound once — how both the validating
+constructor and the trusted batch constructor get round the frozen
+dataclass's per-field ``object.__setattr__`` calls."""
 
 
 def _per_row(values: Any) -> Iterable[Any]:
@@ -211,7 +247,7 @@ def check_quantum_columns(
     quantum_length: int | np.ndarray,
     start_step: int | Sequence[int] | np.ndarray,
 ) -> None:
-    """Check every :meth:`QuantumRecord.__post_init__` invariant over
+    """Check every :class:`QuantumRecord` constructor invariant over
     aligned columns in one vectorized pass.  Only if some row fails are the
     rows rebuilt through the scalar constructor, so the first bad row raises
     exactly the error — message, row order — the per-record path would."""
@@ -254,32 +290,20 @@ def quantum_records_from_columns(**columns: Any) -> list[QuantumRecord]:
     """
     check_quantum_columns(**columns)
     new = object.__new__
-    (
-        s_index,
-        s_request,
-        s_request_int,
-        s_available,
-        s_allotment,
-        s_work,
-        s_span,
-        s_steps,
-        s_quantum_length,
-        s_start_step,
-    ) = _RECORD_SETTERS
     out: list[QuantumRecord] = []
     append = out.append
     for i, d, di, p, a, t1, tinf, st, ql, s0 in quantum_rows(**columns):
         r = new(QuantumRecord)
-        s_index(r, i)
-        s_request(r, d)
-        s_request_int(r, di)
-        s_available(r, p)
-        s_allotment(r, a)
-        s_work(r, t1)
-        s_span(r, tinf)
-        s_steps(r, st)
-        s_quantum_length(r, ql)
-        s_start_step(r, s0)
+        _set_index(r, i)
+        _set_request(r, d)
+        _set_request_int(r, di)
+        _set_available(r, p)
+        _set_allotment(r, a)
+        _set_work(r, t1)
+        _set_span(r, tinf)
+        _set_steps(r, st)
+        _set_quantum_length(r, ql)
+        _set_start_step(r, s0)
         append(r)
     return out
 

@@ -10,12 +10,12 @@ measurements.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["QuantumExecution", "JobExecutor"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QuantumExecution:
     """What one quantum of execution accomplished."""
 
@@ -31,9 +31,21 @@ class QuantumExecution:
     finished: bool
     """Whether the job completed during this quantum."""
 
-    def __post_init__(self) -> None:
-        if self.steps < 0 or self.work < 0 or self.span < -1e-12:
+    def __init__(self, work: int, span: float, steps: int, finished: bool) -> None:
+        # The slot descriptors' own setters (bound once, below the class):
+        # a frozen dataclass's generated __init__ pays one
+        # ``object.__setattr__`` lookup per field instead.
+        _set_work(self, work)
+        _set_span(self, span)
+        _set_steps(self, steps)
+        _set_finished(self, finished)
+        if steps < 0 or work < 0 or span < -1e-12:
             raise ValueError("negative quantum execution quantities")
+
+
+_set_work, _set_span, _set_steps, _set_finished = (
+    QuantumExecution.__dict__[f.name].__set__ for f in fields(QuantumExecution)
+)
 
 
 class JobExecutor(ABC):

@@ -162,45 +162,44 @@ class PhasedExecutor(JobExecutor):
         work = 0
         span = 0.0
         phases = self._job.phases
-        while steps_left > 0 and self._phase_idx < len(phases):
-            phase = phases[self._phase_idx]
-            w, k = phase.width, phase.levels
-            total = phase.work
-            done = self._done_in_phase
-            boundary = w * (k - 1)  # tasks strictly before the last level
+        n_phases = len(phases)
+        idx = self._phase_idx
+        done = self._done_in_phase
+        # Conditional expressions rather than ``min``: this loop runs for
+        # every chunk of every quantum, and a builtin call costs more.
+        while steps_left > 0 and idx < n_phases:
+            phase = phases[idx]
+            w = phase.width
+            total = w * phase.levels
+            boundary = total - w  # tasks strictly before the last level
             if done < boundary:
                 # Regime 1: a deeper level always has enabled chains, so the
                 # scheduler sustains min(a, w) tasks per step.
-                t = min(a, w)
+                t = a if a < w else w
                 need = -(-(boundary - done) // t)  # ceil division
-                use = min(steps_left, need)
+                use = steps_left if steps_left < need else need
                 delta = t * use  # cannot exceed total - done (t <= w)
             else:
                 # Regime 2: only the phase's last level remains; ready tasks
                 # shrink with the remaining count.
                 r = total - done
                 need = -(-r // a)
-                use = min(steps_left, need)
-                delta = min(a * use, r)
+                use = steps_left if steps_left < need else need
+                delta = a * use if a * use < r else r
             done += delta
             work += delta
             span += delta / w
             steps_left -= use
             if done == total:
-                self._phase_idx += 1
-                self._done_in_phase = 0
-            else:
-                self._done_in_phase = done
+                idx += 1
+                done = 0
+        self._phase_idx = idx
+        self._done_in_phase = done
         self._remaining -= work
         steps_used = max_steps - steps_left
         if self._strict:
             self._check_quantum(work, span, steps_used, a)
-        return QuantumExecution(
-            work=work,
-            span=span,
-            steps=steps_used,
-            finished=self._remaining == 0,
-        )
+        return QuantumExecution(work, span, steps_used, self._remaining == 0)
 
     def _check_quantum(
         self, work: int, span: float, steps: int, allotment: int

@@ -13,6 +13,8 @@ availability).
 
 from __future__ import annotations
 
+import operator
+
 from ..allocators.availability import ConstantAvailability
 from ..allocators.base import AvailabilityPolicy
 from ..core.columnar import TraceColumns
@@ -27,6 +29,15 @@ from .jobs import EngineChoice, JobDescription, make_executor
 __all__ = ["simulate_job", "run_quantum_with_overhead"]
 
 
+def _integral(value: object) -> int | None:
+    """``value`` as a python ``int`` when it is an integer of any type — a
+    numpy integer included (``operator.index``) — else ``None``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def run_quantum_with_overhead(
     executor: JobExecutor,
     allotment: int,
@@ -39,11 +50,14 @@ def run_quantum_with_overhead(
     The overhead steps hold the allotment but do no work; a quantum fully
     consumed by overhead executes nothing (and, by charging the full quantum,
     guarantees the simulation still terminates: an unchanged allotment next
-    quantum costs nothing)."""
+    quantum costs nothing).  A free quantum returns the executor's own
+    result."""
     cost = overhead.cost(prev_allotment, allotment, length)
     if cost >= length:
         return QuantumExecution(work=0, span=0.0, steps=length, finished=False)
     ex = executor.execute_quantum(allotment, length - cost)
+    if cost == 0:
+        return ex
     return QuantumExecution(
         work=ex.work, span=ex.span, steps=cost + ex.steps, finished=ex.finished
     )
@@ -73,10 +87,10 @@ def simulate_job(
         for ABG or :class:`~repro.core.agreedy.AGreedy`).
     availability:
         Either an :class:`AvailabilityPolicy` or an integer ``P`` shorthand
-        for constant availability.
+        (python or numpy) for constant availability.
     quantum_length:
         Either a :class:`QuantumLengthPolicy` or an integer ``L`` shorthand
-        for the paper's fixed quantum length.
+        (python or numpy) for the paper's fixed quantum length.
     max_quanta:
         Safety valve against a mis-configured run that cannot finish.
     overhead:
@@ -90,10 +104,12 @@ def simulate_job(
         :data:`~repro.sim.jobs.EngineChoice`); ``"auto"`` uses the batched
         level-major kernel whenever the dag's structure permits it.
     """
-    if isinstance(availability, int):
-        availability = ConstantAvailability(availability)
-    if isinstance(quantum_length, int):
-        qlen_policy: QuantumLengthPolicy = FixedQuantumLength(quantum_length)
+    processors = _integral(availability)
+    if processors is not None:
+        availability = ConstantAvailability(processors)
+    fixed_length = _integral(quantum_length)
+    if fixed_length is not None:
+        qlen_policy: QuantumLengthPolicy = FixedQuantumLength(fixed_length)
     else:
         qlen_policy = quantum_length
 
@@ -101,6 +117,10 @@ def simulate_job(
     if executor.finished:
         raise ValueError("job is already finished; pass a fresh executor or description")
     records: list[QuantumRecord] = []
+    append = records.append
+    next_length = qlen_policy.next_length
+    available = availability.available
+    next_request = feedback.next_request
 
     d = feedback.first_request()
     prev: QuantumRecord | None = None
@@ -109,8 +129,8 @@ def simulate_job(
     while not executor.finished:
         if q > max_quanta:
             raise RuntimeError(f"job did not finish within {max_quanta} quanta")
-        length = qlen_policy.next_length(prev)
-        p = availability.available(q, prev)
+        length = next_length(prev)
+        p = available(q, prev)
         if p < 1:
             raise ValueError("availability policy must offer at least one processor")
         d_int = integer_request(d)
@@ -118,21 +138,12 @@ def simulate_job(
         ex = run_quantum_with_overhead(
             executor, a, length, prev.allotment if prev else None, overhead
         )
-        record = QuantumRecord(
-            index=q,
-            request=d,
-            request_int=d_int,
-            available=p,
-            allotment=a,
-            work=ex.work,
-            span=ex.span,
-            steps=ex.steps,
-            quantum_length=length,
-            start_step=t,
-        )
-        records.append(record)
+        # Positional, in field order: passing ten keywords costs more than
+        # the constructor's own slot writes and checks.
+        record = QuantumRecord(q, d, d_int, p, a, ex.work, ex.span, ex.steps, length, t)
+        append(record)
         t += ex.steps
-        d = feedback.next_request(record)
+        d = next_request(record)
         prev = record
         q += 1
 

@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.columnar import TraceColumns
+from ..core.columnar import FLOAT_FIELDS, INT_FIELDS, TraceColumns
 from ..core.types import check_quantum_columns
 
 __all__ = [
@@ -329,8 +329,9 @@ class QuantumLog:
     # ------------------------------------------------------------------
 
     def build_traces(self) -> dict[int, TraceColumns]:
-        """Expand the groups once, sort rows by job, and return every job's
-        :class:`TraceColumns` (views into the sorted run-wide columns).
+        """Expand the groups once, sort rows by job, gather every field
+        straight into its row of two run-wide blocks, and return every job's
+        :class:`TraceColumns` (column slices of those blocks).
 
         Group order is chronological and rows within a superstep group are
         slot-major (slot ``i``'s ``K`` quanta are consecutive), so a stable
@@ -339,71 +340,51 @@ class QuantumLog:
         if not self._groups:
             return {}
         L = self.quantum_length
-        jid_parts: list[np.ndarray] = []
-        idx_parts: list[np.ndarray] = []
-        start_parts: list[np.ndarray] = []
-        value_parts: dict[str, list[np.ndarray]] = {
-            name: []
-            for name in (
-                "request",
-                "request_int",
-                "available",
-                "allotment",
-                "work",
-                "span",
-                "steps",
-            )
+        parts: dict[str, list[np.ndarray]] = {
+            name: [] for name in ("jid", *INT_FIELDS, *FLOAT_FIELDS)
         }
         for grp in self._groups:
             layout = self._layouts[grp.epoch]
             n = int(grp.index0.size)
             k = grp.repeat
             if k == 1:
-                jid_parts.append(layout)
-                idx_parts.append(grp.index0)
-                start_parts.append(np.full(n, grp.start_step, dtype=np.int64))
+                parts["jid"].append(layout)
+                parts["index"].append(grp.index0)
+                parts["start_step"].append(np.full(n, grp.start_step, dtype=np.int64))
             else:
                 offsets = np.arange(k, dtype=np.int64)
-                jid_parts.append(np.repeat(layout, k))
-                idx_parts.append(np.repeat(grp.index0, k) + np.tile(offsets, n))
-                start_parts.append(
-                    grp.start_step + L * np.tile(offsets, n)
-                )
-            for name, parts in value_parts.items():
+                parts["jid"].append(np.repeat(layout, k))
+                parts["index"].append(np.repeat(grp.index0, k) + np.tile(offsets, n))
+                parts["start_step"].append(grp.start_step + L * np.tile(offsets, n))
+            for name in _GROUP_FIELDS:
                 col: np.ndarray = getattr(grp, name)
-                parts.append(col if k == 1 else np.repeat(col, k))
-        # Each column's parts are dropped as soon as it is gathered: parts of
-        # repeat-groups are expanded copies, and holding them all until the
-        # end would add a full copy of the run's rows to the peak.
-        jid_all = np.concatenate(jid_parts)
-        del jid_parts
+                parts[name].append(col if k == 1 else np.repeat(col, k))
+        jid_all = np.concatenate(parts.pop("jid"))
         order = np.argsort(jid_all, kind="stable")
         jid_sorted = jid_all[order]
         del jid_all
-        idx_sorted = np.concatenate(idx_parts)[order]
-        del idx_parts
-        start_sorted = np.concatenate(start_parts)[order]
-        del start_parts
-        cols_sorted = {
-            name: np.concatenate(value_parts.pop(name))[order]
-            for name in list(value_parts)
-        }
+        ints = np.empty((len(INT_FIELDS), order.size), dtype=np.int64)
+        floats = np.empty((len(FLOAT_FIELDS), order.size), dtype=np.float64)
+        # Each field's parts are dropped as soon as it is gathered: parts of
+        # repeat-groups are expanded copies, and holding them all until the
+        # end would add a full copy of the run's rows to the peak.  The
+        # sort's indices are in range, so ``clip`` gathers unbuffered.
+        for block, names in ((ints, INT_FIELDS), (floats, FLOAT_FIELDS)):
+            for row, name in zip(block, names):
+                np.take(np.concatenate(parts.pop(name)), order, out=row, mode="clip")
+        del order
         bounds = np.flatnonzero(np.diff(jid_sorted)) + 1
         starts = np.concatenate(([0], bounds, [jid_sorted.size]))
         # One 0-d quantum length shared by every trace: columns are read-only.
         length = np.array(L, dtype=np.int64)
         return {
-            int(jid_sorted[a]): TraceColumns(
-                index=idx_sorted[a:b],
-                request=cols_sorted["request"][a:b],
-                request_int=cols_sorted["request_int"][a:b],
-                available=cols_sorted["available"][a:b],
-                allotment=cols_sorted["allotment"][a:b],
-                work=cols_sorted["work"][a:b],
-                span=cols_sorted["span"][a:b],
-                steps=cols_sorted["steps"][a:b],
-                quantum_length=length,
-                start_step=start_sorted[a:b],
-            )
+            int(jid_sorted[a]): TraceColumns(ints[:, a:b], floats[:, a:b], length)
             for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())
         }
+
+
+_GROUP_FIELDS = tuple(
+    name for name in (*INT_FIELDS, *FLOAT_FIELDS) if name not in ("index", "start_step")
+)
+"""The record fields a :class:`QuantumGroup` stores as they are (``index``
+and ``start_step`` are expanded from ``index0`` and the group's start)."""

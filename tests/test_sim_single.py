@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.allocators.availability import ConstantAvailability, TraceAvailability
+from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.core.abg import AControl
 from repro.core.agreedy import AGreedy
 from repro.core.quantum_policy import AdaptiveQuantumLength
 from repro.core.reference import FixedRequest, OracleFeedback
+from repro.core.types import QuantumRecord
 from repro.dag.builders import fork_join_from_phases
+from repro.engine.base import QuantumExecution
 from repro.engine.phased import PhasedExecutor, PhasedJob
+from repro.sim.jobs import JobSpec
+from repro.sim.multi import simulate_job_set
 from repro.sim.single import simulate_job
 from repro.workloads.forkjoin import constant_parallelism_job
 
@@ -131,6 +137,63 @@ class TestQuantumLengthPolicies:
         lengths = {rec.quantum_length for rec in trace}
         assert 100 in lengths  # initial
         assert any(l > 100 for l in lengths)  # grew while stable
+
+
+class TestIntegerShorthands:
+    """``P`` and ``L`` may be any integral value, numpy integers included."""
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64])
+    def test_numpy_integers_give_the_plain_int_trace(self, kind):
+        job = PhasedJob([(1, 20), (6, 30), (1, 10)])
+        plain = simulate_job(job, AControl(0.2), 16, quantum_length=25)
+        numpy_trace = simulate_job(job, AControl(0.2), kind(16), quantum_length=kind(25))
+        assert numpy_trace == plain
+        assert type(numpy_trace.quantum_length) is int
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_values_below_one_still_rejected(self, kind):
+        job = PhasedJob([(1, 5)])
+        with pytest.raises(ValueError, match="^need at least one processor$"):
+            simulate_job(job, FixedRequest(1), kind(0))
+        with pytest.raises(ValueError, match="^quantum length must be >= 1$"):
+            simulate_job(job, FixedRequest(1), 4, quantum_length=kind(0))
+
+
+class TestOneObjectPerQuantum:
+    """A job-quantum builds exactly one validated ``QuantumExecution`` (the
+    executor's, never re-wrapped when reallocation is free) and one
+    ``QuantumRecord``."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        built = {QuantumRecord: 0, QuantumExecution: 0}
+        for cls in built:
+            init = cls.__init__
+
+            def counting(self, *args, _cls=cls, _init=init, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return built
+
+    def test_simulate_job(self, counts):
+        trace = simulate_job(
+            PhasedJob([(1, 20), (6, 30), (1, 10)]), AGreedy(2.0, 0.8), 16, quantum_length=7
+        )
+        assert len(trace) > 5
+        assert counts == {QuantumRecord: len(trace), QuantumExecution: len(trace)}
+
+    def test_reference_loop(self, counts):
+        specs = [
+            JobSpec(job=PhasedJob([(1, 20), (6, 30)]), feedback=AControl(0.2)),
+            JobSpec(job=PhasedJob([(3, 40)]), feedback=AGreedy(2.0, 0.8)),
+        ]
+        result = simulate_job_set(
+            specs, DynamicEquiPartitioning(), 8, quantum_length=7, batch="off"
+        )
+        quanta = sum(len(t) for t in result.traces.values())
+        assert counts == {QuantumRecord: quanta, QuantumExecution: quanta}
 
 
 class TestErrors:

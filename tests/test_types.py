@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
+import pickle
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.allocators.equipartition import DynamicEquiPartitioning
 from repro.core.abg import AControl
 from repro.core.columnar import TraceColumns
 from repro.core.quantum_policy import AdaptiveQuantumLength
@@ -18,7 +24,11 @@ from repro.core.types import (
     quantum_records_from_columns,
     transition_factor_of_series,
 )
+from repro.engine.base import QuantumExecution
+from repro.engine.phased import PhasedJob
 from repro.io.traces import load_trace, save_trace
+from repro.sim.jobs import JobSpec
+from repro.sim.multi import simulate_job_set
 from repro.sim.single import simulate_job
 from repro.workloads.forkjoin import constant_parallelism_job
 
@@ -142,6 +152,96 @@ class TestQuantumRecordDerived:
         rec = make_record(work=0, span=0.0, steps=0)
         assert rec.work_efficiency == 0.0
         assert rec.span_efficiency == 0.0
+
+
+_RECORD = dict(
+    index=2,
+    request=3.5,
+    request_int=4,
+    available=128,
+    allotment=4,
+    work=4000,
+    span=100.0,
+    steps=1000,
+    quantum_length=1000,
+    start_step=1000,
+)
+_EXECUTION = dict(work=40, span=10.0, steps=10, finished=False)
+
+
+class TestValueObjectContract:
+    """``QuantumRecord`` and ``QuantumExecution`` are frozen slots
+    dataclasses with hand-written constructors: each invariant raises its
+    exact message, in order, and the dataclass protocol is unchanged."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"index": 0}, "quantum index starts at 1"),
+            ({"index": 0, "steps": -1}, "quantum index starts at 1"),
+            ({"allotment": -1}, "negative processors"),
+            ({"available": -1}, "negative processors"),
+            ({"available": 3}, "allotment exceeds availability"),
+            ({"available": 3, "request_int": 3}, "allotment exceeds availability"),
+            ({"request_int": 3}, "allocator is conservative: a(q) <= ceil(d(q))"),
+            ({"steps": -1}, "quantum steps outside [0, L]"),
+            ({"steps": 1001}, "quantum steps outside [0, L]"),
+            ({"steps": 1001, "work": -1}, "quantum steps outside [0, L]"),
+            ({"work": -1}, "quantum work outside [0, a(q) * steps]"),
+            ({"work": 4001}, "quantum work outside [0, a(q) * steps]"),
+            ({"work": 4001, "span": -1.0}, "quantum work outside [0, a(q) * steps]"),
+            ({"span": -0.5}, "quantum span outside [0, work]"),
+            ({"span": 4000.1}, "quantum span outside [0, work]"),
+        ],
+    )
+    def test_record_invariant_messages(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            QuantumRecord(**{**_RECORD, **overrides})
+
+    @pytest.mark.parametrize(
+        "overrides", [{"steps": -1}, {"work": -1}, {"span": -1e-11}]
+    )
+    def test_execution_invariant_message(self, overrides):
+        with pytest.raises(ValueError, match="^negative quantum execution quantities$"):
+            QuantumExecution(**{**_EXECUTION, **overrides})
+
+    def test_execution_tolerates_float_noise_below_zero_span(self):
+        assert QuantumExecution(**{**_EXECUTION, "span": -1e-13}).span == -1e-13
+
+    @pytest.mark.parametrize(
+        "cls, values", [(QuantumRecord, _RECORD), (QuantumExecution, _EXECUTION)]
+    )
+    def test_dataclass_protocol(self, cls, values):
+        obj = cls(**values)
+        assert obj == cls(*values.values())
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert names == list(values) == list(inspect.signature(cls).parameters)
+        assert dataclasses.asdict(obj) == values
+        assert repr(obj) == f"{cls.__name__}(" + ", ".join(
+            f"{k}={v!r}" for k, v in values.items()
+        ) + ")"
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.work = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del obj.work
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(obj, protocol))
+            assert type(copy) is cls and copy == obj
+        assert hash(obj) == hash(cls(**values))
+        changed = dataclasses.replace(obj, work=0, span=0.0)
+        assert changed != obj and changed == cls(**{**values, "work": 0, "span": 0.0})
+        assert obj != tuple(values.values())
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError, match="^quantum index starts at 1$"):
+            dataclasses.replace(QuantumRecord(**_RECORD), index=0)
+        with pytest.raises(ValueError, match="^negative quantum execution quantities$"):
+            dataclasses.replace(QuantumExecution(**_EXECUTION), steps=-1)
+
+    def test_start_step_defaults_to_zero(self):
+        values = {k: v for k, v in _RECORD.items() if k != "start_step"}
+        assert QuantumRecord(**values).start_step == 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +462,57 @@ class TestJobTrace:
 
     def test_avg_allotment_empty(self):
         assert JobTrace(quantum_length=10).avg_allotment == 0.0
+
+
+class TestTraceColumnsLayout:
+    """Every trace stores its fields as the rows of two blocks."""
+
+    FIELDS = ("index", "request", "request_int", "available", "allotment",
+              "work", "span", "steps", "start_step")
+
+    def assert_row_views(self, cols):
+        assert cols.ints.shape == (7, len(cols)) and cols.ints.dtype == np.int64
+        assert cols.floats.shape == (2, len(cols)) and cols.floats.dtype == np.float64
+        for name in self.FIELDS:
+            row = getattr(cols, name)
+            assert row.ndim == 1 and row.size == len(cols)
+            assert row.flags.c_contiguous
+            block = cols.floats if name in ("request", "span") else cols.ints
+            assert row.base is block or row.base is block.base
+        with pytest.raises(AttributeError):
+            cols.work = cols.work
+
+    def test_from_records(self):
+        trace = simulate_job(constant_parallelism_job(4, 4000), AControl(0.2), 16, quantum_length=100)
+        self.assert_row_views(trace.columns)
+        assert [r.work for r in trace.records] == trace.columns.work.tolist()
+
+    def test_kernel_traces_share_the_runs_blocks(self):
+        specs = [
+            JobSpec(job=PhasedJob([(1, 20), (6, 30)]), feedback=AControl(0.2)),
+            JobSpec(job=PhasedJob([(3, 40)]), feedback=AControl(0.2)),
+            JobSpec(job=PhasedJob([(5, 25), (1, 5)]), feedback=AControl(0.2)),
+        ]
+        traces = simulate_job_set(specs, DynamicEquiPartitioning(), 8, quantum_length=7).traces
+        reference = simulate_job_set(
+            specs, DynamicEquiPartitioning(), 8, quantum_length=7, batch="off"
+        ).traces
+        assert traces == reference
+        for trace in traces.values():
+            self.assert_row_views(trace.columns)
+        assert len({id(t.columns.ints.base) for t in traces.values()}) == 1
+        assert len({id(t.columns.floats.base) for t in traces.values()}) == 1
+        assert len({id(t.columns.quantum_length) for t in traces.values()}) == 1
+
+    def test_adaptive_length_stays_per_row(self):
+        trace = simulate_job(
+            constant_parallelism_job(4, 4000),
+            AControl(0.0),
+            16,
+            quantum_length=AdaptiveQuantumLength(100, min_length=50, max_length=400),
+        )
+        self.assert_row_views(trace.columns)
+        assert trace.columns.quantum_length.shape == (len(trace),)
 
 
 class TestAdaptiveQuantumLengthTrace:

@@ -3,8 +3,8 @@
 Hand-built violating traces and tampered schedules must each surface their
 specific violation code; clean engine runs — including hypothesis-randomized
 fork-join workloads — must audit clean.  Forged quanta are written straight
-into a trace's columns, bypassing every check a producer or
-``QuantumRecord.__post_init__`` makes, on purpose: the whole point is to
+into a trace's blocks, bypassing every check a producer or the
+``QuantumRecord`` constructor makes, on purpose: the whole point is to
 hand the auditor quanta the engines could never emit.
 """
 
@@ -42,16 +42,17 @@ RATE = 0.2
 
 def tamper(trace: JobTrace, q: int, **overrides: object) -> JobTrace:
     """Copy of ``trace`` with the stored fields of quantum ``q`` forged."""
-    shape = trace.columns.index.shape
-    cols = {
-        name: np.array(np.broadcast_to(getattr(trace.columns, name), shape))
-        for name in TraceColumns.__slots__
-    }
+    cols = trace.columns
+    forged = TraceColumns(
+        cols.ints.copy(),
+        cols.floats.copy(),
+        np.array(np.broadcast_to(cols.quantum_length, len(cols))),
+    )
     for name, value in overrides.items():
-        cols[name][q - 1] = value
+        getattr(forged, name)[q - 1] = value  # a row of a copied array
     return JobTrace(
         trace.quantum_length,
-        TraceColumns(**cols),
+        forged,
         release_time=trace.release_time,
         job_id=trace.job_id,
     )
